@@ -121,6 +121,36 @@ echo "==> catalog snapshot store gate (round trips, delta replay, corruption)"
 # own named gate.
 cargo test -q --offline -p mdbs-bench --test catalog_store
 
+echo "==> batch serve --jobs 1/2/8 + estimate text/binary -> byte-identical output"
+# Batch `serve` and `estimate` price through the same function as the
+# serving loop. The committed query file covers every per-line outcome
+# (answered, no model, bad SQL, unknown site, no SQL, blank and comment
+# lines); its report must not depend on the worker count, and `estimate`
+# must print the same bytes against a text catalog and its binary archive.
+BATCH_DIR="${TMPDIR:-/tmp}/mdbs-ci-batch.$$"
+mkdir -p "$BATCH_DIR"
+./target/release/mdbs-qcost derive --site oracle --class g1 --seed 7 \
+  --out "$BATCH_DIR/catalog.txt" > /dev/null
+./target/release/mdbs-qcost archive --catalog "$BATCH_DIR/catalog.txt" \
+  --dest "file:$BATCH_DIR/catalog.mdbc" > /dev/null
+for j in 1 2 8; do
+  ./target/release/mdbs-qcost serve --catalog "$BATCH_DIR/catalog.txt" \
+    --queries examples/serve_batch.queries --jobs "$j" > "$BATCH_DIR/batch-$j.txt"
+done
+cmp "$BATCH_DIR/batch-1.txt" "$BATCH_DIR/batch-2.txt"
+cmp "$BATCH_DIR/batch-1.txt" "$BATCH_DIR/batch-8.txt"
+grep -q "estimate" "$BATCH_DIR/batch-1.txt"
+grep -q "no model in catalog" "$BATCH_DIR/batch-1.txt"
+grep -q "ERROR" "$BATCH_DIR/batch-1.txt"
+for format in txt mdbc; do
+  ./target/release/mdbs-qcost estimate --catalog "$BATCH_DIR/catalog.$format" \
+    --site oracle --sql "select a1, a5 from R8 where a5 > 100 and a6 < 500" \
+    --execute > "$BATCH_DIR/estimate-$format.txt"
+done
+cmp "$BATCH_DIR/estimate-txt.txt" "$BATCH_DIR/estimate-mdbc.txt"
+grep -q "estimated cost" "$BATCH_DIR/estimate-txt.txt"
+rm -rf "$BATCH_DIR"
+
 echo "==> serve --loop --jobs 1/2/8 -> byte-identical report + stripped telemetry"
 SERVE_DIR="${TMPDIR:-/tmp}/mdbs-ci-serve.$$"
 mkdir -p "$SERVE_DIR"

@@ -22,8 +22,9 @@ use mdbs_core::maintenance::MaintenanceConfig;
 use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
-use mdbs_core::server::{fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig};
+use mdbs_core::server::{fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig};
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 
 const G1_SQLS: &[&str] = &[
     "select a1 from R2 where a2 < 100",
@@ -96,9 +97,10 @@ fn replay(
     refit_threshold: usize,
     workers: usize,
 ) -> mdbs_core::server::ServeReport {
-    let registry = ModelRegistry::from_catalog(catalog);
-    let fleet = fleet_from_catalog(
-        catalog,
+    let snapshot = CatalogSnapshot::at_version(catalog.clone(), 0);
+    let registry = ModelRegistry::from_snapshot(&snapshot);
+    let fleet = fleet_from_snapshot(
+        &snapshot,
         MaintenanceConfig::default(),
         DerivationConfig::quick(),
         StateAlgorithm::Iupma,

@@ -4,15 +4,15 @@
 use crate::args::{Args, ArgsError};
 use crate::site::{parse_profile, site_agent, SiteName};
 use mdbs_core::catalog::SiteId;
-use mdbs_core::classes::{classify, QueryClass};
-use mdbs_core::correction::EstimateQuery;
+use mdbs_core::classes::QueryClass;
 use mdbs_core::derive::{derive_all, derive_cost_model, BatchConfig, DerivationConfig, DeriveJob};
 use mdbs_core::maintenance::{MaintenanceConfig, MaintenanceConfigBuilder};
 use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
 use mdbs_core::server::{
-    fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig, ServeConfigBuilder,
+    fleet_from_snapshot, price_request, EstimationServer, PricedRequest, RequestTrace, ServeConfig,
+    ServeConfigBuilder,
 };
 use mdbs_core::states::{StateAlgorithm, StatesConfig};
 use mdbs_core::store::{
@@ -544,20 +544,19 @@ fn cmd_estimate(args: &Args) -> Result<String, CliError> {
     } else {
         Telemetry::disabled()
     };
-    let catalog = load_snapshot_or_empty(catalog_path, &mut tel)?.catalog;
-    let schema = agent.catalog().clone();
-    let query = parse_query(&schema, sql).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let class = classify(&schema, &query)
-        .ok_or_else(|| CliError::Invalid("query cannot be classified".into()))?;
+    let registry = ModelRegistry::from_snapshot(&load_snapshot_or_empty(catalog_path, &mut tel)?);
+    let PricedRequest {
+        query,
+        class,
+        probe,
+        detail,
+    } = price_request(&registry, &mut agent, &site.id().into(), sql, None)
+        .map_err(CliError::Invalid)?;
 
     let span = tel.begin_span("estimate");
     tel.field(span, "class", class.label().to_string());
-    agent.tick();
-    let probe = agent.probe();
     tel.field(span, "probe_cost_s", probe);
-    let site_id: SiteId = site.id().into();
-    let Some(detail) = catalog.estimate(&EstimateQuery::raw(&site_id, &schema, &query, probe))
-    else {
+    let Some(detail) = detail else {
         return Err(CliError::Invalid(format!(
             "no cost model for {} at site `{}` in {catalog_path} — derive one first:\n  \
              mdbs-qcost derive --site {} --class {} --out {catalog_path}",
@@ -687,7 +686,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
 
     // A malformed line is that line's problem, not the batch's: it becomes
     // an inline failure row while every other line keeps being served.
-    let mut rows: Vec<(usize, Option<bool>, String)> = Vec::new();
+    let mut rows: Vec<(usize, String)> = Vec::new();
     let mut work: Vec<(usize, SiteName, String)> = Vec::new();
     for (i, raw) in queries.lines().enumerate() {
         let line = raw.trim();
@@ -697,37 +696,66 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         let lineno = i + 1;
         let Some((site_word, sql)) = line.split_once(char::is_whitespace) else {
             let msg = format!("{queries_path}:{lineno}: expected `SITE SQL...`");
-            rows.push((lineno, None, format!("  {lineno:>3} ERROR: {msg}\n")));
+            rows.push((lineno, format!("  {lineno:>3} ERROR: {msg}\n")));
             continue;
         };
         match SiteName::parse(site_word) {
             Ok(site) => work.push((lineno, site, sql.trim().to_string())),
             Err(e) => {
                 let msg = format!("{queries_path}:{lineno}: {e}");
-                rows.push((lineno, None, format!("  {lineno:>3} ERROR: {msg}\n")));
+                rows.push((lineno, format!("  {lineno:>3} ERROR: {msg}\n")));
             }
         }
     }
     let total = work.len() + rows.len();
     let workers = mdbs_core::pool::effective_workers(jobs, work.len());
+    // Every line probes with its own agent, seeded from `--seed` and the
+    // line number, so answers do not depend on the worker that ran them.
     let (answers, report) = mdbs_core::pool::run_jobs(work, workers, |_, (lineno, site, sql)| {
-        let answer = serve_query_line(&registry, &profile, queries_path, lineno, site, &sql, seed);
-        (lineno, answer)
+        let mut agent = site_agent(site, &profile, split_stream(seed, lineno as u64));
+        let priced = price_request(&registry, &mut agent, &site.id().into(), &sql, None);
+        (lineno, site, priced)
     });
 
     let mut answered = 0usize;
     let mut served = 0usize;
-    for (lineno, answer) in answers {
-        match answer {
-            Ok((hit, line)) => {
-                served += 1;
-                answered += usize::from(hit);
-                rows.push((lineno, Some(hit), line));
+    for (lineno, site, priced) in answers {
+        let row = match priced {
+            Ok(PricedRequest {
+                class,
+                probe,
+                detail: Some(detail),
+                ..
+            }) => {
+                answered += 1;
+                format!(
+                    "  {lineno:>3} {} {}: probe {probe:.3}s -> estimate {:.2}s\n",
+                    site.id(),
+                    class.label(),
+                    detail.estimate,
+                )
             }
-            Err(msg) => rows.push((lineno, None, format!("  {lineno:>3} ERROR: {msg}\n"))),
-        }
+            Ok(PricedRequest {
+                class,
+                detail: None,
+                ..
+            }) => format!(
+                "  {lineno:>3} {} {}: no model in catalog (derive --site {} --class {})\n",
+                site.id(),
+                class.label(),
+                site.id(),
+                class_tag(class)
+            ),
+            Err(msg) => {
+                let msg = format!("{queries_path}:{lineno}: {msg}");
+                rows.push((lineno, format!("  {lineno:>3} ERROR: {msg}\n")));
+                continue;
+            }
+        };
+        served += 1;
+        rows.push((lineno, row));
     }
-    rows.sort_by_key(|&(lineno, _, _)| lineno);
+    rows.sort_by_key(|&(lineno, _)| lineno);
     let failed = total - served;
 
     tel.field(span, "queries", total as u64);
@@ -741,7 +769,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
 
     if total > 0 && served == 0 {
         // Only a batch with *no* serviceable line is a hard failure.
-        let details: String = rows.into_iter().map(|(_, _, line)| line).collect();
+        let details: String = rows.into_iter().map(|(_, line)| line).collect();
         return Err(CliError::Invalid(format!(
             "serve: all {total} quer(y/ies) failed:\n{details}"
         )));
@@ -754,56 +782,13 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
     if failed > 0 {
         out.push_str(&format!("  {failed} line(s) failed (reported inline)\n"));
     }
-    for (_, _, line) in rows {
+    for (_, line) in rows {
         out.push_str(&line);
     }
     if let Some(path) = &telemetry_path {
         out.push_str(&telemetry_section(&tel, None, path)?);
     }
     Ok(out)
-}
-
-/// Prices one `SITE SQL...` line against the registry (the batch `serve`
-/// worker body). `Ok((hit, row))` serves the line — `hit` false means "no
-/// model in catalog"; `Err` is a per-line failure message.
-fn serve_query_line(
-    registry: &ModelRegistry,
-    profile: &mdbs_sim::ContentionProfile,
-    queries_path: &str,
-    lineno: usize,
-    site: SiteName,
-    sql: &str,
-    seed: u64,
-) -> Result<(bool, String), String> {
-    let mut agent = site_agent(site, profile, split_stream(seed, lineno as u64));
-    let schema = agent.catalog().clone();
-    let query = parse_query(&schema, sql).map_err(|e| format!("{queries_path}:{lineno}: {e}"))?;
-    let class = classify(&schema, &query)
-        .ok_or_else(|| format!("{queries_path}:{lineno}: query cannot be classified"))?;
-    agent.tick();
-    let probe = agent.probe();
-    let site_id: SiteId = site.id().into();
-    match registry.estimate(&EstimateQuery::raw(&site_id, &schema, &query, probe)) {
-        Some(detail) => Ok((
-            true,
-            format!(
-                "  {lineno:>3} {} {}: probe {probe:.3}s -> estimate {:.2}s\n",
-                site.id(),
-                class.label(),
-                detail.estimate,
-            ),
-        )),
-        None => Ok((
-            false,
-            format!(
-                "  {lineno:>3} {} {}: no model in catalog (derive --site {} --class {})\n",
-                site.id(),
-                class.label(),
-                site.id(),
-                class_tag(class)
-            ),
-        )),
-    }
 }
 
 /// The long-lived serving loop: replays a timestamped request/observation
@@ -1526,6 +1511,68 @@ mod tests {
         )))
         .unwrap();
         assert_eq!(out, serial, "mixed output must not depend on worker count");
+    }
+
+    /// The committed batch-serve input: one line per per-line outcome.
+    const SERVE_BATCH: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/serve_batch.queries"
+    );
+
+    /// Derives the oracle G1 catalog the golden tests price against.
+    fn golden_catalog(name: &str) -> String {
+        let cat = tmp(name);
+        let _ = std::fs::remove_file(&cat);
+        dispatch(&argv(&format!(
+            "derive --site oracle --class g1 --samples 150 --max-states 3 --out {cat}"
+        )))
+        .unwrap();
+        cat
+    }
+
+    #[test]
+    fn serve_batch_output_is_pinned() {
+        let cat = golden_catalog("golden-serve-catalog.txt");
+        let expected = "\
+serve: 2 of 7 quer(ies) answered from {cat} (1 model(s))
+  3 line(s) failed (reported inline)
+    5 oracle G1 (unary, no index): probe 1.032s -> estimate 1.76s
+    7 db2 G1 (unary, no index): no model in catalog (derive --site db2 --class g1)
+    8 oracle G3 (join, no index): no model in catalog (derive --site oracle --class g3)
+    9 ERROR: {qf}:9: SQL error: expected `from`, found Some(Ident(\"syntax\"))
+   10 ERROR: {qf}:10: unknown site `teradata` (expected `oracle` or `db2`)
+   11 ERROR: {qf}:11: expected `SITE SQL...`
+   14 oracle G1 (unary, no index): probe 1.037s -> estimate 4.00s
+"
+        .replace("{cat}", &cat)
+        .replace("{qf}", SERVE_BATCH);
+        for jobs in [1, 2] {
+            let out = dispatch(&argv(&format!(
+                "serve --catalog {cat} --queries {SERVE_BATCH} --jobs {jobs}"
+            )))
+            .unwrap();
+            assert_eq!(out, expected, "--jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn estimate_execute_output_is_pinned() {
+        let cat = golden_catalog("golden-estimate-catalog.txt");
+        let out = dispatch(&argv(&format!(
+            "estimate --catalog {cat} --site oracle \
+             --sql 'select a1, a5 from R8 where a5 > 100 and a6 < 500' --execute"
+        )))
+        .unwrap();
+        assert_eq!(
+            out,
+            "\
+query class: G1 (unary, no index)
+probing cost: 2.637s -> contention state S2
+estimated cost: 17.53s
+observed cost:  13.68s
+relative error: 28%
+"
+        );
     }
 
     #[test]

@@ -6,15 +6,10 @@
 //! probing-cost estimators of eq. (2); the global optimizer asks it for
 //! local cost estimates.
 
-use crate::classes::{classify, QueryClass};
-use crate::correction::EstimateQuery;
+use crate::classes::QueryClass;
 use crate::model::{CostModel, ModelAccumulator};
 use crate::probing::ProbeCostEstimator;
-use crate::registry::EstimateDetail;
-// Point lookups keyed by (site, class); every iteration below sorts its
-// keys before use (see `sites` / `classes_for` / `export`).
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a local site within the MDBS.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,15 +27,14 @@ impl<T: Into<String>> From<T> for SiteId {
     }
 }
 
-/// The global catalog: cost models and probe estimators per site.
+/// The global catalog: cost models and probe estimators per site, keyed
+/// in `(site, class)` order. It stores and persists; pricing goes through
+/// a [`crate::registry::ModelRegistry`] loaded from it.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalCatalog {
-    #[allow(clippy::disallowed_types)]
-    models: HashMap<(SiteId, QueryClass), CostModel>,
-    #[allow(clippy::disallowed_types)]
-    probe_estimators: HashMap<SiteId, ProbeCostEstimator>,
-    #[allow(clippy::disallowed_types)]
-    fit_accumulators: HashMap<(SiteId, QueryClass), ModelAccumulator>,
+    models: BTreeMap<(SiteId, QueryClass), CostModel>,
+    probe_estimators: BTreeMap<SiteId, ProbeCostEstimator>,
+    fit_accumulators: BTreeMap<(SiteId, QueryClass), ModelAccumulator>,
 }
 
 impl GlobalCatalog {
@@ -91,56 +85,43 @@ impl GlobalCatalog {
         self.models.is_empty()
     }
 
-    /// All sites that have at least one model or probe estimator.
+    /// All sites that have at least one model or probe estimator, sorted.
     pub fn sites(&self) -> Vec<SiteId> {
-        let mut sites: Vec<SiteId> = self
+        let sites: BTreeSet<&SiteId> = self
             .models
             .keys()
-            .map(|(s, _)| s.clone())
-            .chain(self.probe_estimators.keys().cloned())
+            .map(|(s, _)| s)
+            .chain(self.probe_estimators.keys())
             .collect();
-        sites.sort();
-        sites.dedup();
-        sites
+        sites.into_iter().cloned().collect()
     }
 
     /// The classes a site has models for, in report order.
     pub fn classes_for(&self, site: &SiteId) -> Vec<QueryClass> {
-        let mut classes: Vec<QueryClass> = self
-            .models
+        self.models
             .keys()
             .filter(|(s, _)| s == site)
             .map(|(_, c)| *c)
-            .collect();
-        classes.sort();
-        classes
-    }
-
-    /// The unified estimation entry point: classify the query, look up
-    /// the model, extract the Table-3 variables, evaluate in the
-    /// contention state implied by the probing cost, and apply the
-    /// attached correction ledger (if any, and warm). The catalog carries
-    /// no publish history, so [`EstimateDetail::version`] is always 0 —
-    /// use a [`crate::registry::ModelRegistry`] when snapshot provenance
-    /// matters.
-    ///
-    /// Returns `None` when the query cannot be classified or no model is
-    /// stored for its class.
-    pub fn estimate(&self, q: &EstimateQuery<'_>) -> Option<EstimateDetail> {
-        let class = classify(q.schema, q.query)?;
-        let model = self.model(q.site, class)?;
-        crate::correction::price_with_model(model, 0, class, q)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correction::EstimateQuery;
     use crate::model::{fit_cost_model, ModelForm};
     use crate::observation::Observation;
     use crate::qualvar::StateSet;
+    use crate::registry::ModelRegistry;
+    use crate::store::CatalogSnapshot;
     use mdbs_sim::datagen::standard_database;
     use mdbs_sim::query::{Predicate, Query, UnaryQuery};
+
+    /// The catalog as the registry that prices its models.
+    fn registry_of(catalog: GlobalCatalog) -> ModelRegistry {
+        ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(catalog, 0))
+    }
 
     /// A tiny hand-made unary model: cost = 1 + 0.001·N_O (one state).
     fn toy_model() -> CostModel {
@@ -192,10 +173,10 @@ mod tests {
             predicates: vec![Predicate::lt(4, t.columns[4].domain_max / 2)],
             order_by: None,
         });
-        let detail = cat
+        let detail = registry_of(cat)
             .estimate(&EstimateQuery::raw(&site, &db, &q, 1.0))
             .unwrap();
-        assert_eq!(detail.version, 0, "catalog estimates carry no history");
+        assert_eq!(detail.version, 1, "the one model is published first");
         assert!(!detail.corrected, "no ledger attached");
         assert_eq!(detail.estimate, detail.raw_estimate);
         let est = detail.estimate;
@@ -209,7 +190,7 @@ mod tests {
     #[test]
     fn estimate_without_model_is_none() {
         let db = standard_database(42);
-        let cat = GlobalCatalog::new();
+        let registry = registry_of(GlobalCatalog::new());
         let t = &db.tables()[0];
         let q = Query::Unary(UnaryQuery {
             table: t.id,
@@ -217,7 +198,7 @@ mod tests {
             predicates: vec![],
             order_by: None,
         });
-        assert!(cat
+        assert!(registry
             .estimate(&EstimateQuery::raw(&"s".into(), &db, &q, 1.0))
             .is_none());
     }

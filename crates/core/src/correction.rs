@@ -52,22 +52,17 @@
 //! restored by a rederivation — the ladder starts over against the fresh
 //! model.
 //!
-//! ## The unified estimation entry point
+//! ## The estimation entry point
 //!
-//! Corrections reach estimates through one choke point:
-//! [`crate::registry::ModelRegistry::estimate`] /
-//! [`crate::catalog::GlobalCatalog::estimate`], both taking an
-//! [`EstimateQuery`] and returning an
-//! [`crate::registry::EstimateDetail`] carrying the corrected estimate,
-//! the raw model output, the applied factor, the confidence, the snapshot
-//! version and the detected contention state. The historical
-//! `estimate_local_cost` / `estimate_with_version` / `estimate_detailed`
-//! trio survived one release as `#[deprecated]` delegating shims and is
-//! gone (the `expired-deprecation` lint rule now enforces that grace
-//! policy mechanically).
+//! Corrections reach estimates through one choke point,
+//! [`crate::registry::ModelRegistry::estimate`]: it takes an
+//! [`EstimateQuery`] and returns an [`crate::registry::EstimateDetail`]
+//! carrying the corrected estimate, the raw model output, the applied
+//! factor, the confidence, the snapshot version and the detected
+//! contention state. Every serving path reaches it through
+//! [`crate::server::price_request`].
 
 use crate::catalog::SiteId;
-use crate::registry::EstimateDetail;
 use mdbs_obs::Telemetry;
 use mdbs_sim::catalog::LocalCatalog;
 use mdbs_sim::query::Query;
@@ -155,7 +150,7 @@ pub struct Correction {
 
 impl Correction {
     /// The identity correction: raw estimate served untouched.
-    fn none(raw: f64) -> Correction {
+    pub(crate) fn none(raw: f64) -> Correction {
         Correction {
             estimate: raw,
             factor: 1.0,
@@ -328,13 +323,9 @@ impl CorrectionLedger {
     }
 }
 
-/// The one input struct of the unified estimation entry point
-/// ([`crate::registry::ModelRegistry::estimate`] /
-/// [`crate::catalog::GlobalCatalog::estimate`]): everything the
-/// historical estimation trio threaded through diverging signatures,
-/// plus the optional
-/// correction ledger whose learned bias is divided out of the raw model
-/// output.
+/// The input of [`crate::registry::ModelRegistry::estimate`]: the site,
+/// schema, query and probing cost to price, plus the optional correction
+/// ledger whose learned bias is divided out of the raw model output.
 #[derive(Debug, Clone, Copy)]
 pub struct EstimateQuery<'a> {
     /// The site to price at.
@@ -351,7 +342,7 @@ pub struct EstimateQuery<'a> {
 }
 
 impl<'a> EstimateQuery<'a> {
-    /// An uncorrected query — the exact semantics of the deprecated trio.
+    /// An uncorrected query: the raw model output is served.
     pub fn raw(
         site: &'a SiteId,
         schema: &'a LocalCatalog,
@@ -366,45 +357,6 @@ impl<'a> EstimateQuery<'a> {
             correction: None,
         }
     }
-
-    /// The same query with a correction ledger attached.
-    pub fn with_correction(mut self, ledger: &'a CorrectionLedger) -> EstimateQuery<'a> {
-        self.correction = Some(ledger);
-        self
-    }
-}
-
-/// Shared pricing core of [`crate::registry::ModelRegistry::estimate`] and
-/// [`crate::catalog::GlobalCatalog::estimate`]: extract the class's
-/// Table-3 variables, project onto the model's selected subset, detect the
-/// contention state, evaluate, and apply the correction ledger (when
-/// attached and warm).
-pub(crate) fn price_with_model(
-    model: &crate::model::CostModel,
-    version: u64,
-    class: crate::classes::QueryClass,
-    q: &EstimateQuery<'_>,
-) -> Option<EstimateDetail> {
-    let family: crate::variables::VariableFamily = class.family();
-    let x = family.extract(q.schema, q.query)?;
-    let x_sel: Vec<f64> = model.var_indexes.iter().map(|&i| x[i]).collect();
-    let state = model.states.state_of(q.probe_cost);
-    let state_label = model.states.paper_label(state);
-    let raw = model.estimate(&x_sel, q.probe_cost);
-    let correction = q
-        .correction
-        .map(|ledger| ledger.correct(&q.site.0, &state_label, raw))
-        .unwrap_or_else(|| Correction::none(raw));
-    Some(EstimateDetail {
-        estimate: correction.estimate,
-        raw_estimate: raw,
-        correction: correction.factor,
-        corrected: correction.applied,
-        confidence: correction.confidence,
-        version,
-        state,
-        state_label,
-    })
 }
 
 #[cfg(test)]

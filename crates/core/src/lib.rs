@@ -52,7 +52,10 @@
 //! cross-cutting concerns (telemetry, RNG seed); batch derivation over many
 //! `(site, class)` pairs goes through [`derive::derive_all`], which fans out
 //! to a scoped-thread [`pool`] and publishes into the concurrent
-//! [`registry::ModelRegistry`] for a non-blocking estimation hot path.
+//! [`registry::ModelRegistry`] for a non-blocking estimation hot path. The
+//! registry is the only catalog that prices, and
+//! [`server::price_request`] is the one sequence (parse → classify → probe
+//! → estimate) every serving path runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

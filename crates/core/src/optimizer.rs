@@ -17,6 +17,9 @@
 
 use crate::catalog::{GlobalCatalog, SiteId};
 use crate::classes::{classify, QueryClass};
+use crate::correction::EstimateQuery;
+use crate::registry::ModelRegistry;
+use crate::store::CatalogSnapshot;
 use crate::variables::VariableFamily;
 use crate::CoreError;
 use mdbs_sim::catalog::{ColumnDef, IndexKind, LocalCatalog, TableDef, TableId};
@@ -68,20 +71,21 @@ impl PlanEstimate {
     }
 }
 
-/// The global optimizer: a catalog of cost models plus network parameters.
-#[derive(Debug, Clone)]
+/// The global optimizer: the registry of derived cost models plus network
+/// parameters.
+#[derive(Debug)]
 pub struct GlobalOptimizer {
-    /// Derived local cost models.
-    pub catalog: GlobalCatalog,
+    registry: ModelRegistry,
     /// Network transfer cost in seconds per megabyte.
     pub network_s_per_mb: f64,
 }
 
 impl GlobalOptimizer {
-    /// Creates an optimizer around a populated catalog.
+    /// Creates an optimizer around a populated catalog, loaded into the
+    /// registry that prices its models.
     pub fn new(catalog: GlobalCatalog, network_s_per_mb: f64) -> Self {
         GlobalOptimizer {
-            catalog,
+            registry: ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(catalog, 0)),
             network_s_per_mb,
         }
     }
@@ -147,8 +151,8 @@ impl GlobalOptimizer {
             order_by: None,
         });
         let ship_prepare_cost = self
-            .catalog
-            .estimate(&crate::correction::EstimateQuery::raw(
+            .registry
+            .estimate(&EstimateQuery::raw(
                 &shipped.site,
                 shipped_schema,
                 &filter_query,
@@ -180,11 +184,12 @@ impl GlobalOptimizer {
         // The temporary table has no indexes, so the class depends only on
         // the destination's join column.
         let class = classify(&augmented, &join_query)?;
-        let model = self.catalog.model(&dest.site, class).or_else(|| {
+        let entry = self.registry.get(&dest.site, class).or_else(|| {
             // Fall back to the unindexed join model: a shipped temp is never
             // indexed, and an indexed destination column may lack a model.
-            self.catalog.model(&dest.site, QueryClass::JoinNoIndex)
+            self.registry.get(&dest.site, QueryClass::JoinNoIndex)
         })?;
+        let model = &entry.model;
         let x = VariableFamily::Join.extract(&augmented, &join_query)?;
         let x_sel: Vec<f64> = model.var_indexes.iter().map(|&i| x[i]).collect();
         // Regression models can extrapolate below zero for queries far from

@@ -562,9 +562,7 @@ impl GlobalCatalog {
         if version > 0 {
             out.push_str(&format!("snapshot-version {version}\n"));
         }
-        let mut sites: Vec<SiteId> = self.sites().into_iter().collect();
-        sites.sort();
-        for site in sites {
+        for site in self.sites() {
             for class in self.classes_for(&site) {
                 let model = self.model(&site, class).expect("class listed for site");
                 out.push_str(&format!("entry {} {}\n", site, class.as_str()));

@@ -30,12 +30,18 @@ impl StateSet {
 
     /// Builds a state set from explicit ascending edges.
     ///
-    /// Requires at least two strictly increasing edges.
+    /// Requires at least two strictly increasing edges, none of them NaN
+    /// (`±∞` outer edges are fine: [`StateSet::single`] is `[-∞, +∞]`).
     pub fn from_edges(edges: Vec<f64>) -> Result<StateSet, CoreError> {
         if edges.len() < 2 {
             return Err(CoreError::Degenerate(
                 "state set needs at least two edges".into(),
             ));
+        }
+        if edges.iter().any(|e| e.is_nan()) {
+            return Err(CoreError::Degenerate(format!(
+                "state edges must not be NaN: {edges:?}"
+            )));
         }
         if edges.windows(2).any(|w| w[1] <= w[0]) {
             return Err(CoreError::Degenerate(format!(
@@ -281,6 +287,20 @@ mod tests {
         assert!(StateSet::from_edges(vec![1.0, 1.0]).is_err());
         assert!(StateSet::from_edges(vec![2.0, 1.0]).is_err());
         assert!(StateSet::from_edges(vec![1.0, 2.0, 3.0]).is_ok());
+        // NaN compares false both ways, so only an explicit check stops it.
+        for edges in [
+            vec![1.0, f64::NAN, 3.0],
+            vec![f64::NAN, 1.0],
+            vec![1.0, f64::NAN],
+        ] {
+            assert!(matches!(
+                StateSet::from_edges(edges),
+                Err(CoreError::Degenerate(_))
+            ));
+        }
+        let outer = StateSet::from_edges(vec![f64::NEG_INFINITY, 2.0, f64::INFINITY]).unwrap();
+        assert_eq!(outer.state_of(1.0), 0);
+        assert_eq!(outer.state_of(3.0), 1);
     }
 
     #[test]

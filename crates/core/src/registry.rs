@@ -1,37 +1,30 @@
-//! A concurrent model registry for the estimation hot path.
+//! The model registry: the one catalog that prices.
 //!
-//! The [`GlobalCatalog`] is the paper's
-//! single-threaded picture of "cost model parameters kept in the MDBS
-//! catalog". A front-end that re-derives models in the background while
-//! answering estimates needs more: estimation must never block behind a
-//! derivation, and a reader must never observe a half-written model. The
-//! [`ModelRegistry`] provides that with a sharded `RwLock` map from
-//! `(site, class)` to an [`Arc`]'d immutable snapshot, swapped whole on
-//! publish — readers either see the old complete model or the new complete
-//! model, nothing in between — plus a monotone global version so callers
-//! can tell *which*.
+//! A [`GlobalCatalog`](crate::catalog::GlobalCatalog) is the paper's
+//! picture of "cost model parameters kept in the MDBS catalog" — what is
+//! stored and persisted. Pricing reads a [`ModelRegistry`] loaded from it
+//! ([`ModelRegistry::from_snapshot`]):
+//! a `RwLock` map from `(site, class)` to an [`Arc`]'d immutable model,
+//! swapped whole on publish — readers either see the old complete model or
+//! the new complete model, never half of one — plus a monotone global
+//! version so callers can tell *which*. [`ModelRegistry::estimate`] is the
+//! only code that turns a query into an [`EstimateDetail`]; the serving
+//! paths reach it through [`crate::server::price_request`].
 //!
-//! Shard selection uses an in-tree FNV-1a hash of the key, not the std
-//! `RandomState`, so shard layout (and thus any iteration-derived output)
-//! is stable across processes — the same determinism policy as the rest of
-//! the workspace.
+//! One lock guards the whole map. A workload serves a handful of models,
+//! publishes only from the serial maintenance path, and is read by at most
+//! one pool worker per core, so sharding buys nothing. The map is a
+//! `BTreeMap`, so any iteration is in `(site, class)` order.
 
-use crate::catalog::{GlobalCatalog, SiteId};
+use crate::catalog::SiteId;
 use crate::classes::{classify, QueryClass};
-use crate::correction::EstimateQuery;
+use crate::correction::{Correction, EstimateQuery};
 use crate::model::CostModel;
+use crate::store::CatalogSnapshot;
 use mdbs_obs::Telemetry;
-// Hash sharding is deliberate here: lookups are point reads keyed by
-// (site, class) and iteration only happens in `to_catalog`, which is
-// order-insensitive (see the waiver there).
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Number of independent lock shards. A small power of two: contention on
-/// a registry of dozens of models is negligible beyond this.
-const SHARDS: usize = 16;
 
 /// One published model snapshot: immutable once registered.
 #[derive(Debug, Clone)]
@@ -75,41 +68,20 @@ pub struct EstimateDetail {
     pub state_label: String,
 }
 
-/// One lock shard: a plain map from key to published snapshot.
-#[allow(clippy::disallowed_types)]
-type Shard = RwLock<HashMap<(SiteId, QueryClass), Arc<RegisteredModel>>>;
-
-/// Sharded, versioned `(site, class) → CostModel` map. See the module docs.
-#[derive(Debug)]
+/// Versioned `(site, class) → CostModel` map. See the module docs.
+#[derive(Debug, Default)]
 pub struct ModelRegistry {
-    shards: Vec<Shard>,
+    models: RwLock<BTreeMap<(SiteId, QueryClass), Arc<RegisteredModel>>>,
     version: AtomicU64,
     publishes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        ModelRegistry::new()
-    }
-}
-
 impl ModelRegistry {
     /// An empty registry.
-    #[allow(clippy::disallowed_types)]
     pub fn new() -> Self {
-        ModelRegistry {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            version: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, site: &SiteId, class: QueryClass) -> &Shard {
-        &self.shards[(key_hash(site, class) as usize) % SHARDS]
+        ModelRegistry::default()
     }
 
     /// Publishes (or replaces) the model for a site/class pair, returning
@@ -125,21 +97,21 @@ impl ModelRegistry {
             version,
             model,
         });
-        self.shard(&site, class)
+        self.models
             .write()
-            .expect("registry shard")
+            .expect("registry lock poisoned")
             .insert((site, class), entry);
         self.publishes.fetch_add(1, Ordering::Relaxed);
         version
     }
 
     /// The current snapshot for a site/class pair, if any. Cheap: one
-    /// shard read lock and an `Arc` clone.
+    /// read lock and an `Arc` clone.
     pub fn get(&self, site: &SiteId, class: QueryClass) -> Option<Arc<RegisteredModel>> {
         let found = self
-            .shard(site, class)
+            .models
             .read()
-            .expect("registry shard")
+            .expect("registry lock poisoned")
             .get(&(site.clone(), class))
             .cloned();
         match &found {
@@ -157,10 +129,7 @@ impl ModelRegistry {
 
     /// Number of registered site/class pairs.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("registry shard").len())
-            .sum()
+        self.models.read().expect("registry lock poisoned").len()
     }
 
     /// True when nothing is registered.
@@ -168,68 +137,60 @@ impl ModelRegistry {
         self.len() == 0
     }
 
-    /// The unified estimation entry point: classify the query, look up
-    /// the snapshot, extract the Table-3 variables, evaluate the model in
-    /// the contention state implied by the probing cost, and apply the
-    /// attached correction ledger (if any, and warm). The whole estimate
-    /// is computed against one `Arc` snapshot, so every
-    /// [`EstimateDetail`] field is mutually coherent even while
-    /// maintenance republishes underneath — a reader can assert the
-    /// versions it observes never regress.
+    /// The estimation entry point: classify the query, look up the
+    /// snapshot, extract the Table-3 variables, project them onto the
+    /// model's selected subset, evaluate the model in the contention state
+    /// implied by the probing cost, and apply the attached correction
+    /// ledger (if any, and warm). The whole estimate is computed against
+    /// one `Arc` snapshot, so every [`EstimateDetail`] field is mutually
+    /// coherent even while maintenance republishes underneath — a reader
+    /// can assert the versions it observes never regress.
     ///
     /// `None` when the query cannot be classified or no model is
     /// registered for its class.
     pub fn estimate(&self, q: &EstimateQuery<'_>) -> Option<EstimateDetail> {
         let class = classify(q.schema, q.query)?;
         let snapshot = self.get(q.site, class)?;
-        crate::correction::price_with_model(&snapshot.model, snapshot.version, class, q)
+        let model = &snapshot.model;
+        let x = class.family().extract(q.schema, q.query)?;
+        let x_sel: Vec<f64> = model.var_indexes.iter().map(|&i| x[i]).collect();
+        let state = model.states.state_of(q.probe_cost);
+        let state_label = model.states.paper_label(state);
+        let raw = model.estimate(&x_sel, q.probe_cost);
+        let correction = q
+            .correction
+            .map(|ledger| ledger.correct(&q.site.0, &state_label, raw))
+            .unwrap_or_else(|| Correction::none(raw));
+        Some(EstimateDetail {
+            estimate: correction.estimate,
+            raw_estimate: raw,
+            correction: correction.factor,
+            corrected: correction.applied,
+            confidence: correction.confidence,
+            version: snapshot.version,
+            state,
+            state_label,
+        })
     }
 
-    /// Loads every model of a [`GlobalCatalog`] into the registry,
-    /// publishing in `(site, class)` order so versions are deterministic.
-    pub fn from_catalog(catalog: &GlobalCatalog) -> Self {
+    /// Loads a versioned [`CatalogSnapshot`]: publishes every model in
+    /// `(site, class)` order as versions `1..=k`, then advances the
+    /// registry version to at least the snapshot's — so models published
+    /// *after* a warm start get versions strictly greater than anything
+    /// already persisted, keeping registry versions and snapshot versions
+    /// on one monotone axis. A bare catalog loads as
+    /// `CatalogSnapshot::at_version(catalog, 0)`.
+    pub fn from_snapshot(snap: &CatalogSnapshot) -> Self {
         let registry = ModelRegistry::new();
+        let catalog = &snap.catalog;
         for site in catalog.sites() {
             for class in catalog.classes_for(&site) {
-                if let Some(model) = catalog.model(&site, class) {
-                    registry.publish(site.clone(), class, model.clone());
-                }
+                let model = catalog.model(&site, class).expect("listed by the catalog");
+                registry.publish(site.clone(), class, model.clone());
             }
         }
-        registry
-    }
-
-    /// Loads a versioned [`crate::store::CatalogSnapshot`], publishing in
-    /// `(site, class)` order, then advances the registry version to at
-    /// least the snapshot's — so models published *after* a warm start
-    /// get versions strictly greater than anything already persisted,
-    /// keeping registry versions and snapshot versions on one monotone
-    /// axis.
-    pub fn from_snapshot(snap: &crate::store::CatalogSnapshot) -> Self {
-        let registry = ModelRegistry::from_catalog(&snap.catalog);
         registry.version.fetch_max(snap.version, Ordering::Relaxed);
         registry
-    }
-
-    /// Snapshots the registry into a versioned
-    /// [`crate::store::CatalogSnapshot`] at the current registry version
-    /// (probe estimators are not part of the registry and come back
-    /// empty).
-    pub fn to_snapshot(&self) -> crate::store::CatalogSnapshot {
-        crate::store::CatalogSnapshot::at_version(self.to_catalog(), self.version())
-    }
-
-    /// Snapshots the registry back into a plain [`GlobalCatalog`] (probe
-    /// estimators are not part of the registry and come back empty).
-    pub fn to_catalog(&self) -> GlobalCatalog {
-        let mut catalog = GlobalCatalog::new();
-        for shard in &self.shards {
-            // lint:allow(no-unordered-iteration): insertion into the keyed catalog is order-insensitive; the catalog's own export sorts
-            for ((site, class), entry) in shard.read().expect("registry shard").iter() {
-                catalog.insert_model(site.clone(), *class, entry.model.clone());
-            }
-        }
-        catalog
     }
 
     /// Folds the registry's access counters into a telemetry collection:
@@ -244,29 +205,16 @@ impl ModelRegistry {
     }
 }
 
-/// FNV-1a over the site name and the class discriminant: a stable,
-/// process-independent shard/job key.
-pub(crate) fn key_hash(site: &SiteId, class: QueryClass) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in site.0.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(PRIME);
-    }
-    let tag = QueryClass::all()
-        .iter()
-        .position(|&c| c == class)
-        .expect("class is in the canonical list") as u64;
-    h = (h ^ (0x80 | tag)).wrapping_mul(PRIME);
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::GlobalCatalog;
     use crate::model::{fit_cost_model, ModelForm};
     use crate::observation::Observation;
     use crate::qualvar::StateSet;
+    use crate::store::{snapshot_from_bytes, snapshot_to_bytes};
+    use mdbs_sim::datagen::standard_database;
+    use mdbs_sim::query::{Predicate, Query, UnaryQuery};
 
     /// A toy one-state model `cost = intercept + slope·x`.
     fn toy_model(slope: f64) -> CostModel {
@@ -319,34 +267,70 @@ mod tests {
         assert_eq!(old.version, 1);
     }
 
-    #[test]
-    fn catalog_roundtrip_preserves_models() {
+    /// Three models inserted out of `(site, class)` order.
+    fn three_model_catalog() -> GlobalCatalog {
         let mut catalog = GlobalCatalog::new();
+        catalog.insert_model("b".into(), QueryClass::UnaryNoIndex, toy_model(0.03));
+        catalog.insert_model("a".into(), QueryClass::JoinNoIndex, toy_model(0.02));
         catalog.insert_model("a".into(), QueryClass::UnaryNoIndex, toy_model(0.01));
-        catalog.insert_model("b".into(), QueryClass::JoinNoIndex, toy_model(0.03));
-        let reg = ModelRegistry::from_catalog(&catalog);
-        assert_eq!(reg.len(), 2);
-        let back = reg.to_catalog();
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            back.model(&"a".into(), QueryClass::UnaryNoIndex)
-                .unwrap()
-                .coefficients,
-            catalog
-                .model(&"a".into(), QueryClass::UnaryNoIndex)
-                .unwrap()
-                .coefficients
-        );
+        catalog
     }
 
     #[test]
-    fn key_hash_is_stable_and_separates_classes() {
-        let a = key_hash(&"oracle".into(), QueryClass::UnaryNoIndex);
-        let b = key_hash(&"oracle".into(), QueryClass::JoinNoIndex);
-        let c = key_hash(&"db2".into(), QueryClass::UnaryNoIndex);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, key_hash(&"oracle".into(), QueryClass::UnaryNoIndex));
+    fn from_snapshot_publishes_in_key_order_and_resumes_versions() {
+        let in_key_order = [
+            ("a", QueryClass::UnaryNoIndex, 0.01),
+            ("a", QueryClass::JoinNoIndex, 0.02),
+            ("b", QueryClass::UnaryNoIndex, 0.03),
+        ];
+        for snap_version in [0, 2, 3, 7] {
+            let snap = CatalogSnapshot::at_version(three_model_catalog(), snap_version);
+            let reg = ModelRegistry::from_snapshot(&snap);
+            assert_eq!(reg.len(), 3);
+            for (k, (site, class, slope)) in in_key_order.into_iter().enumerate() {
+                let entry = reg.get(&site.into(), class).unwrap();
+                assert_eq!(entry.version, k as u64 + 1, "{site} {class:?}");
+                assert_eq!(entry.model.coefficients, toy_model(slope).coefficients);
+            }
+            assert_eq!(reg.version(), snap_version.max(3));
+            let next = reg.publish("c".into(), QueryClass::UnaryNoIndex, toy_model(0.04));
+            assert!(next > snap_version, "{next} after snapshot v{snap_version}");
+            assert_eq!(next, reg.version());
+        }
+    }
+
+    #[test]
+    fn catalog_roundtrip_preserves_models() {
+        // The same catalog loaded directly, through the text format and
+        // through the binary format prices every query identically.
+        let snap = CatalogSnapshot::at_version(three_model_catalog(), 5);
+        let (text, text_version) =
+            GlobalCatalog::import_versioned(&snap.catalog.export_versioned(snap.version)).unwrap();
+        let (binary, _, _) = snapshot_from_bytes(&snapshot_to_bytes(&snap)).unwrap();
+        let direct = ModelRegistry::from_snapshot(&snap);
+        let from_text =
+            ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(text, text_version));
+        let from_binary = ModelRegistry::from_snapshot(&binary);
+        let db = standard_database(42);
+        let mut priced = 0;
+        for t in db.tables() {
+            let q = Query::Unary(UnaryQuery {
+                table: t.id,
+                projection: vec![0],
+                predicates: vec![Predicate::lt(1, t.columns[1].domain_max / 3)],
+                order_by: None,
+            });
+            for site in ["a", "b", "c"].map(SiteId::from) {
+                for probe in [0.5, 1.0, 4.0] {
+                    let q = EstimateQuery::raw(&site, &db, &q, probe);
+                    let expected = direct.estimate(&q);
+                    priced += usize::from(expected.is_some());
+                    assert_eq!(from_text.estimate(&q), expected, "text copy");
+                    assert_eq!(from_binary.estimate(&q), expected, "binary copy");
+                }
+            }
+        }
+        assert!(priced > 0, "some queries hit a model");
     }
 
     #[test]

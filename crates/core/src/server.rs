@@ -65,12 +65,12 @@ use crate::pipeline::PipelineCtx;
 use crate::pool;
 use crate::registry::{EstimateDetail, ModelRegistry};
 use crate::validate::TestPoint;
-use crate::variables::VariableFamily;
 use mdbs_obs::json::Json;
 use mdbs_obs::metrics::percentile_sorted;
 use mdbs_obs::recorder::{AccuracyLedger, FlightRecorder, LedgerSummary};
 use mdbs_obs::Telemetry;
 use mdbs_sim::events::EnvironmentEvent;
+use mdbs_sim::query::Query;
 use mdbs_sim::sql::parse_query;
 use mdbs_sim::MdbsAgent;
 use mdbs_stats::rng::split_stream;
@@ -670,18 +670,6 @@ struct QueuedRequest {
     sql: String,
 }
 
-/// The outcome of pricing one request against a registry snapshot.
-enum ServedAnswer {
-    Estimate {
-        class: QueryClass,
-        probe: f64,
-        detail: EstimateDetail,
-    },
-    NoModel {
-        class: QueryClass,
-    },
-}
-
 /// One executed observation, before it is routed to a maintainer.
 struct ObservedSample {
     class: QueryClass,
@@ -929,10 +917,13 @@ impl EstimationServer {
                 let workers = pool::effective_workers(config.workers, batch.len());
                 let make_agent = &make_agent;
                 let corrector = config.correction.then_some(&correction_ledger);
+                // Every failure is a per-line message, never a panic.
                 let (results, pool_report) =
                     pool::run_jobs(batch, workers, move |_, (q, factor)| {
-                        let outcome =
-                            serve_one(registry, make_agent, &q, factor, root_seed, corrector);
+                        let outcome = line_agent(make_agent, &q.site, factor, root_seed, q.lineno)
+                            .and_then(|mut agent| {
+                                price_request(registry, &mut agent, &q.site, &q.sql, corrector)
+                            });
                         (q, outcome)
                     });
                 pool_jobs += pool_report.jobs_completed;
@@ -958,10 +949,11 @@ impl EstimationServer {
                         ("latency_s".to_string(), Json::from(latency)),
                     ];
                     match outcome {
-                        Ok(ServedAnswer::Estimate {
+                        Ok(PricedRequest {
                             class,
                             probe,
-                            detail,
+                            detail: Some(detail),
+                            ..
                         }) => {
                             report.answered += 1;
                             ctx.telemetry.inc("serve.answered", 1);
@@ -1016,7 +1008,11 @@ impl EstimationServer {
                                 ]);
                             }
                         }
-                        Ok(ServedAnswer::NoModel { class }) => {
+                        Ok(PricedRequest {
+                            class,
+                            detail: None,
+                            ..
+                        }) => {
                             report.no_model += 1;
                             ctx.telemetry.inc("serve.no_model", 1);
                             latencies.push(latency);
@@ -1618,16 +1614,18 @@ fn emit_heartbeat(
     recorder.record_event("heartbeat", snapshot);
 }
 
-/// Builds the maintainer fleet for every catalog model whose site passes
-/// `site_filter`, restoring persisted fit accumulators when present so
-/// incremental refits resume from the full fitting sample.
-pub fn fleet_from_catalog(
-    catalog: &crate::catalog::GlobalCatalog,
+/// Builds the maintainer fleet for every model of a versioned
+/// [`crate::store::CatalogSnapshot`] whose site passes `site_filter`,
+/// restoring persisted fit accumulators when present so incremental refits
+/// resume from the full fitting sample.
+pub fn fleet_from_snapshot(
+    snapshot: &crate::store::CatalogSnapshot,
     maintenance: crate::maintenance::MaintenanceConfig,
     derivation: crate::derive::DerivationConfig,
     algorithm: crate::states::StateAlgorithm,
     site_filter: impl Fn(&SiteId) -> bool,
 ) -> Result<Vec<(SiteId, ModelMaintainer)>, crate::CoreError> {
+    let catalog = &snapshot.catalog;
     let mut fleet = Vec::new();
     for site in catalog.sites() {
         if !site_filter(&site) {
@@ -1649,64 +1647,75 @@ pub fn fleet_from_catalog(
     Ok(fleet)
 }
 
-/// [`fleet_from_catalog`] over a versioned
-/// [`crate::store::CatalogSnapshot`] — the form every
-/// [`crate::store::CatalogStore`] load site hands out.
-pub fn fleet_from_snapshot(
-    snapshot: &crate::store::CatalogSnapshot,
-    maintenance: crate::maintenance::MaintenanceConfig,
-    derivation: crate::derive::DerivationConfig,
-    algorithm: crate::states::StateAlgorithm,
-    site_filter: impl Fn(&SiteId) -> bool,
-) -> Result<Vec<(SiteId, ModelMaintainer)>, crate::CoreError> {
-    fleet_from_catalog(
-        &snapshot.catalog,
-        maintenance,
-        derivation,
-        algorithm,
-        site_filter,
-    )
+/// One SQL request priced by [`price_request`].
+#[derive(Debug, Clone)]
+pub struct PricedRequest {
+    /// The parsed query.
+    pub query: Query,
+    /// The query's class.
+    pub class: QueryClass,
+    /// The probing cost gauged at the site just before pricing.
+    pub probe: f64,
+    /// The estimate, or `None` when no model is registered for the class.
+    pub detail: Option<EstimateDetail>,
 }
 
-/// Prices one queued request against the registry. Every failure is a
-/// per-line message, never a panic or an abort.
-fn serve_one<F>(
+/// Prices one SQL request at `site` against the registry: the one pricing
+/// sequence behind the serving loop's requests and observations and the
+/// CLI's batch `serve` and `estimate`. Clones the agent's schema once,
+/// parses and classifies the SQL against it, advances the agent one tick,
+/// probes its contention, and prices through [`ModelRegistry::estimate`]
+/// with the optional correction ledger.
+///
+/// `Err` is the per-line message: the SQL error, or `query cannot be
+/// classified`. A missing model is not an error but `detail: None`.
+pub fn price_request(
     registry: &ModelRegistry,
-    make_agent: &F,
-    q: &QueuedRequest,
-    degrade_factor: f64,
-    root_seed: u64,
+    agent: &mut MdbsAgent,
+    site: &SiteId,
+    sql: &str,
     correction: Option<&CorrectionLedger>,
-) -> Result<ServedAnswer, String>
-where
-    F: Fn(&SiteId, u64) -> Option<MdbsAgent>,
-{
-    let mut agent = make_agent(&q.site, split_stream(root_seed, q.lineno as u64))
-        .ok_or_else(|| format!("unknown site `{}`", q.site))?;
-    apply_degradation(&mut agent, degrade_factor)?;
+) -> Result<PricedRequest, String> {
     let schema = agent.catalog().clone();
-    let query = parse_query(&schema, &q.sql).map_err(|e| e.to_string())?;
+    let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
     let class =
         classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
     agent.tick();
     let probe = agent.probe();
-    match registry.estimate(&EstimateQuery {
-        site: &q.site,
+    let detail = registry.estimate(&EstimateQuery {
+        site,
         schema: &schema,
         query: &query,
         probe_cost: probe,
         correction,
-    }) {
-        Some(detail) => Ok(ServedAnswer::Estimate {
-            class,
-            probe,
-            detail,
-        }),
-        None => Ok(ServedAnswer::NoModel { class }),
-    }
+    });
+    Ok(PricedRequest {
+        query,
+        class,
+        probe,
+        detail,
+    })
 }
 
-/// Executes one observation event: estimate, run, package the feedback.
+/// Builds the deterministic agent for trace line `lineno` at `site`, with
+/// the site's cumulative degradation applied.
+fn line_agent<F>(
+    make_agent: &F,
+    site: &SiteId,
+    degrade_factor: f64,
+    root_seed: u64,
+    lineno: usize,
+) -> Result<MdbsAgent, String>
+where
+    F: Fn(&SiteId, u64) -> Option<MdbsAgent>,
+{
+    let mut agent = make_agent(site, split_stream(root_seed, lineno as u64))
+        .ok_or_else(|| format!("unknown site `{site}`"))?;
+    apply_degradation(&mut agent, degrade_factor)?;
+    Ok(agent)
+}
+
+/// Executes one observation event: price, run, package the feedback.
 #[allow(clippy::too_many_arguments)]
 fn observe_one<F>(
     registry: &ModelRegistry,
@@ -1721,32 +1730,19 @@ fn observe_one<F>(
 where
     F: Fn(&SiteId, u64) -> Option<MdbsAgent>,
 {
-    let mut agent = make_agent(site, split_stream(root_seed, lineno as u64))
-        .ok_or_else(|| format!("unknown site `{site}`"))?;
-    apply_degradation(&mut agent, degrade_factor)?;
-    let schema = agent.catalog().clone();
-    let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
-    let class =
-        classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
-    let family: VariableFamily = class.family();
-    let x = family
-        .extract(&schema, &query)
+    let mut agent = line_agent(make_agent, site, degrade_factor, root_seed, lineno)?;
+    let priced = price_request(registry, &mut agent, site, sql, correction)?;
+    let x = priced
+        .class
+        .family()
+        .extract(agent.catalog(), &priced.query)
         .ok_or_else(|| "explanatory variables cannot be extracted".to_string())?;
-    agent.tick();
-    let probe = agent.probe();
-    let estimate = registry.estimate(&EstimateQuery {
-        site,
-        schema: &schema,
-        query: &query,
-        probe_cost: probe,
-        correction,
-    });
-    let observed = agent.run(&query).map_err(|e| e.to_string())?.cost_s;
+    let observed = agent.run(&priced.query).map_err(|e| e.to_string())?.cost_s;
     Ok(ObservedSample {
-        class,
-        probe,
+        class: priced.class,
+        probe: priced.probe,
         observed,
-        estimate,
+        estimate: priced.detail,
         x,
     })
 }

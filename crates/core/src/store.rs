@@ -1283,6 +1283,31 @@ mod tests {
     }
 
     #[test]
+    fn nan_state_edges_are_rejected_by_both_decoders() {
+        // A NaN edge passes an ordering check and would panic the first
+        // `state_of` binary search that compared against it.
+        let snap = sample_snapshot(1);
+        // The three-state model's edges [0, 1, 2, 3], compact-encoded: the
+        // count, then 0.0, 1.0, 2.0, 3.0.
+        let edges = [4, 0, 0, 2, 0xF0, 0x3F, 1, 0x40, 2, 0x08, 0x40];
+        let mut bytes = snapshot_to_bytes(&snap);
+        let at = bytes
+            .windows(edges.len())
+            .position(|w| w == edges)
+            .expect("edges are encoded");
+        // The edge 1.0 becomes a NaN of the same encoded width.
+        bytes[at + 4..at + 6].copy_from_slice(&[0xF8, 0x7F]);
+        let err = snapshot_from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("NaN"), "{err}");
+
+        let text = snap.catalog.export();
+        assert!(text.contains("states 0 1 2 3\n"), "{text}");
+        let text = text.replacen("states 0 1 2 3\n", "states 0 NaN 2 3\n", 1);
+        let err = GlobalCatalog::import(&text).unwrap_err();
+        assert!(err.to_string().contains("NaN"), "{err}");
+    }
+
+    #[test]
     fn delta_between_and_apply() {
         let base = sample_snapshot(3);
         let mut next = base.clone();

@@ -1,5 +1,6 @@
-//! The MDBS global catalog with genuinely derived models: classification →
-//! model lookup → variable extraction → state-aware estimation, end to end.
+//! The MDBS global catalog with genuinely derived models, priced through
+//! the registry loaded from it: classification → model lookup → variable
+//! extraction → state-aware estimation, end to end.
 
 use mdbs_core::catalog::{GlobalCatalog, SiteId};
 use mdbs_core::classes::{classify, QueryClass};
@@ -7,8 +8,10 @@ use mdbs_core::correction::EstimateQuery;
 use mdbs_core::derive::{derive_cost_model, DerivationConfig};
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::probing::ProbeCostEstimator;
+use mdbs_core::registry::ModelRegistry;
 use mdbs_core::sampling::SampleGenerator;
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_sim::contention::Load;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
@@ -43,12 +46,18 @@ fn populated_catalog() -> (GlobalCatalog, MdbsAgent, SiteId) {
     (catalog, agent, site)
 }
 
+/// The registry that prices a catalog's models.
+fn registry_of(catalog: &GlobalCatalog) -> ModelRegistry {
+    ModelRegistry::from_snapshot(&CatalogSnapshot::at_version(catalog.clone(), 0))
+}
+
 #[test]
 fn catalog_estimates_match_observations_reasonably() {
     let (catalog, mut agent, site) = populated_catalog();
     assert_eq!(catalog.len(), 2);
     assert_eq!(catalog.classes_for(&site).len(), 2);
 
+    let registry = registry_of(&catalog);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(77);
     let mut good = 0;
@@ -57,7 +66,7 @@ fn catalog_estimates_match_observations_reasonably() {
         let query = generator.generate(QueryClass::UnaryNoIndex, &schema);
         agent.tick();
         let probe = agent.probe();
-        let est = catalog
+        let est = registry
             .estimate(&EstimateQuery::raw(&site, &schema, &query, probe))
             .expect("model available for the class")
             .estimate;
@@ -76,22 +85,23 @@ fn catalog_estimates_match_observations_reasonably() {
 #[test]
 fn catalog_dispatches_by_class() {
     let (catalog, agent, site) = populated_catalog();
+    let registry = registry_of(&catalog);
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(78);
     // Queries of both stored classes estimate; join queries (no model) do not.
     let unary = generator.generate(QueryClass::UnaryNoIndex, &schema);
     let indexed = generator.generate(QueryClass::UnaryNonClusteredIndex, &schema);
     let join = generator.generate(QueryClass::JoinNoIndex, &schema);
-    assert!(catalog
+    assert!(registry
         .estimate(&EstimateQuery::raw(&site, &schema, &unary, 1.0))
         .is_some());
-    assert!(catalog
+    assert!(registry
         .estimate(&EstimateQuery::raw(&site, &schema, &indexed, 1.0))
         .is_some());
-    assert!(catalog
+    assert!(registry
         .estimate(&EstimateQuery::raw(&site, &schema, &join, 1.0))
         .is_none());
-    // And the classification the catalog relied on is consistent.
+    // And the classification the registry relied on is consistent.
     assert_eq!(classify(&schema, &unary), Some(QueryClass::UnaryNoIndex));
     assert_eq!(classify(&schema, &join), Some(QueryClass::JoinNoIndex));
 }
@@ -105,15 +115,15 @@ fn catalog_survives_export_import_with_identical_estimates() {
     assert!(restored.probe_estimator(&site).is_some());
 
     // Every estimate must be bit-identical after the round trip.
+    let (original, imported) = (registry_of(&catalog), registry_of(&restored));
     let schema = agent.catalog().clone();
     let mut generator = SampleGenerator::new(81);
     for _ in 0..20 {
         let q = generator.generate(QueryClass::UnaryNoIndex, &schema);
         agent.tick();
         let probe = agent.probe();
-        let a = catalog.estimate(&EstimateQuery::raw(&site, &schema, &q, probe));
-        let b = restored.estimate(&EstimateQuery::raw(&site, &schema, &q, probe));
-        assert_eq!(a, b);
+        let q = EstimateQuery::raw(&site, &schema, &q, probe);
+        assert_eq!(original.estimate(&q), imported.estimate(&q));
     }
     // And a second export is byte-identical (canonical form).
     assert_eq!(restored.export(), text);

@@ -15,8 +15,9 @@ use mdbs_core::maintenance::MaintenanceConfig;
 use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
-use mdbs_core::server::{fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig};
+use mdbs_core::server::{fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig};
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_obs::json::Json;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
@@ -147,9 +148,10 @@ fn run_loop(
     workers: usize,
     correction: bool,
 ) -> LoopRun {
-    let registry = ModelRegistry::from_catalog(catalog);
-    let fleet = fleet_from_catalog(
-        catalog,
+    let snapshot = CatalogSnapshot::at_version(catalog.clone(), 0);
+    let registry = ModelRegistry::from_snapshot(&snapshot);
+    let fleet = fleet_from_snapshot(
+        &snapshot,
         maintenance_config(),
         DerivationConfig::quick(),
         StateAlgorithm::Iupma,

@@ -16,8 +16,9 @@ use mdbs_core::maintenance::MaintenanceConfig;
 use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
-use mdbs_core::server::{fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig};
+use mdbs_core::server::{fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig};
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_obs::json::Json;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::{ContentionProfile, LoadBuilder, MdbsAgent, VendorProfile};
@@ -117,9 +118,10 @@ struct LoopRun {
 }
 
 fn run_loop(catalog: &GlobalCatalog, trace: &RequestTrace, workers: usize) -> LoopRun {
-    let registry = ModelRegistry::from_catalog(catalog);
-    let fleet = fleet_from_catalog(
-        catalog,
+    let snapshot = CatalogSnapshot::at_version(catalog.clone(), 0);
+    let registry = ModelRegistry::from_snapshot(&snapshot);
+    let fleet = fleet_from_snapshot(
+        &snapshot,
         MaintenanceConfig::default(),
         DerivationConfig::quick(),
         StateAlgorithm::Iupma,

@@ -17,8 +17,9 @@ use mdbs_core::model::ModelAccumulator;
 use mdbs_core::pipeline::PipelineCtx;
 use mdbs_core::registry::ModelRegistry;
 use mdbs_core::sampling::SampleGenerator;
-use mdbs_core::server::{fleet_from_catalog, EstimationServer, RequestTrace, ServeConfig};
+use mdbs_core::server::{fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig};
 use mdbs_core::states::StateAlgorithm;
+use mdbs_core::store::CatalogSnapshot;
 use mdbs_core::variables::VariableFamily;
 use mdbs_core::Observation;
 use mdbs_obs::telemetry::strip_wall_clock;
@@ -160,9 +161,10 @@ fn run_loop(
     trace: &RequestTrace,
     workers: usize,
 ) -> (String, String, mdbs_core::server::ServeReport) {
-    let registry = ModelRegistry::from_catalog(catalog);
-    let fleet = fleet_from_catalog(
-        catalog,
+    let snapshot = CatalogSnapshot::at_version(catalog.clone(), 0);
+    let registry = ModelRegistry::from_snapshot(&snapshot);
+    let fleet = fleet_from_snapshot(
+        &snapshot,
         maintenance_config(),
         DerivationConfig::quick(),
         StateAlgorithm::Iupma,

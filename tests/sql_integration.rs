@@ -2,10 +2,12 @@
 //! stack — parse, classify, estimate through a derived model, execute,
 //! compare — across both simulated vendors.
 
-use mdbs_core::catalog::{GlobalCatalog, SiteId};
+use mdbs_core::catalog::SiteId;
 use mdbs_core::classes::{classify, QueryClass};
 use mdbs_core::derive::{derive_cost_model, DerivationConfig};
 use mdbs_core::pipeline::PipelineCtx;
+use mdbs_core::registry::ModelRegistry;
+use mdbs_core::server::price_request;
 use mdbs_core::states::StateAlgorithm;
 use mdbs_sim::datagen::standard_database;
 use mdbs_sim::sql::{parse_query, to_sql};
@@ -47,9 +49,9 @@ fn sql_estimate_then_execute_roundtrip() {
         &mut PipelineCtx::seeded(5),
     )
     .expect("derivation succeeds");
-    let mut catalog = GlobalCatalog::new();
+    let registry = ModelRegistry::new();
     let site: SiteId = "s".into();
-    catalog.insert_model(site.clone(), QueryClass::UnaryNoIndex, derived.model);
+    registry.publish(site.clone(), QueryClass::UnaryNoIndex, derived.model);
 
     // A batch of hand-written SQL queries of the derived class.
     let sqls = [
@@ -58,23 +60,17 @@ fn sql_estimate_then_execute_roundtrip() {
         "select a2, a4, a9 from R10 where a6 >= 10 and a9 <= 900",
         "select a1 from R6 where a5 < 60 order by a2",
     ];
-    let schema = agent.catalog().clone();
     let mut good = 0;
     for sql in sqls {
-        let query = parse_query(&schema, sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+        let priced = price_request(&registry, &mut agent, &site, sql, None)
+            .unwrap_or_else(|e| panic!("`{sql}`: {e}"));
         assert_eq!(
-            classify(&schema, &query),
-            Some(QueryClass::UnaryNoIndex),
+            priced.class,
+            QueryClass::UnaryNoIndex,
             "`{sql}` classified off-class"
         );
-        agent.tick();
-        let probe = agent.probe();
-        let est = catalog
-            .estimate(&mdbs_core::correction::EstimateQuery::raw(
-                &site, &schema, &query, probe,
-            ))
-            .expect("model stored for the class")
-            .estimate;
+        let query = priced.query;
+        let est = priced.detail.expect("model stored for the class").estimate;
         let obs = agent.run(&query).expect("query executes").cost_s;
         let ratio = (est / obs).max(obs / est.max(1e-9));
         if est > 0.0 && ratio <= 2.0 {
