@@ -49,8 +49,11 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -- -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "==> cargo clippy -- -D warnings -D clippy::or_fun_call"
+# or_fun_call: an eager `ok_or(…)`/`unwrap_or(…)` argument (an error
+# message formatted on every successful lookup) costs the hot path even
+# when it is never used.
+cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 
 echo "==> cargo doc --offline --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace

@@ -80,6 +80,22 @@ impl QueryClass {
             QueryClass::JoinNoIndex | QueryClass::JoinIndexed => VariableFamily::Join,
         }
     }
+
+    /// Checks that every index of a model's `var_indexes` names a candidate
+    /// variable of this class's family, so projecting an observation of
+    /// the class cannot index past its end. Catalog decoders call this on
+    /// every model and accumulator they key to a class; `Err` is the
+    /// message.
+    pub(crate) fn check_var_indexes(self, var_indexes: &[usize]) -> Result<(), String> {
+        let width = self.family().all().len();
+        match var_indexes.iter().find(|&&i| i >= width) {
+            Some(i) => Err(format!(
+                "variable index {i} out of range for class {} ({width} candidate variables)",
+                self.as_str()
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Classifies a local query using only globally visible information.

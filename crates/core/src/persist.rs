@@ -626,6 +626,9 @@ impl GlobalCatalog {
                     )?;
                     let (block, start) = collect_block(&mut lines, ln)?;
                     let model = CostModel::from_catalog_entry_at(&block, start)?;
+                    class
+                        .check_var_indexes(&model.var_indexes)
+                        .map_err(|m| parse_err_at(ln, m))?;
                     catalog.insert_model(site, class, model);
                 }
                 Some("gram-entry") => {
@@ -643,6 +646,9 @@ impl GlobalCatalog {
                     )?;
                     let (block, start) = collect_block(&mut lines, ln)?;
                     let acc = ModelAccumulator::from_catalog_entry_at(&block, start)?;
+                    class
+                        .check_var_indexes(acc.var_indexes())
+                        .map_err(|m| parse_err_at(ln, m))?;
                     catalog.insert_accumulator(site, class, acc);
                 }
                 Some("probe-entry") => {
@@ -729,6 +735,33 @@ mod tests {
             let text = model.to_catalog_entry();
             let back = CostModel::from_catalog_entry(&text).unwrap();
             assert_eq!(back, model, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_var_indexes_are_rejected_by_the_text_decoder() {
+        // An index past the class's variable family would panic the first
+        // `Observation::project` of a request served from this catalog.
+        let model = sample_model(3);
+        let mut catalog = GlobalCatalog::new();
+        catalog.insert_accumulator(
+            "site-a".into(),
+            QueryClass::UnaryNoIndex,
+            ModelAccumulator::from_observations(&model, &[]),
+        );
+        catalog.insert_model("site-a".into(), QueryClass::UnaryNoIndex, model);
+        let text = catalog.export();
+        assert!(GlobalCatalog::import(&text).is_ok());
+        let width = QueryClass::UnaryNoIndex.family().all().len();
+        // The model entry's `vars` line comes first, the accumulator's second.
+        for nth in 0..2 {
+            let at = text.match_indices("2:N_R").nth(nth).expect("vars line").0;
+            let patched = format!("{}{width}{}", &text[..at], &text[at + 1..]);
+            let err = GlobalCatalog::import(&patched).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("variable index {width} out of range")),
+                "{err}"
+            );
         }
     }
 

@@ -75,6 +75,7 @@ use mdbs_sim::sql::parse_query;
 use mdbs_sim::MdbsAgent;
 use mdbs_stats::rng::split_stream;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Knobs of the serving loop. All times are virtual seconds.
 ///
@@ -670,6 +671,11 @@ struct QueuedRequest {
     sql: String,
 }
 
+/// One request of a dispatched micro-batch as a pool job: the request,
+/// its site's cumulative degradation factor, and the batch's snapshot of
+/// the correction ledger (`None` with correction off).
+type PricingJob = (QueuedRequest, f64, Option<Arc<CorrectionLedger>>);
+
 /// One executed observation, before it is routed to a maintainer.
 struct ObservedSample {
     class: QueryClass,
@@ -788,9 +794,11 @@ impl EstimationServer {
         let (mut pool_jobs, mut pool_steals, mut pool_workers) = (0usize, 0u64, 0usize);
         let mut ledger = AccuracyLedger::bounded(config.ledger_max_cells);
         // The correction layer's state. Mutated only here in the serial
-        // event loop; pool workers read it through a shared reference, so
-        // every corrected estimate is worker-count-independent.
-        let mut correction_ledger = CorrectionLedger::new(config.correction_config());
+        // event loop (through `Arc::make_mut`); each dispatched batch hands
+        // its pool jobs an `Arc` snapshot, released before the loop moves
+        // on, so every corrected estimate is worker-count-independent and
+        // mutation never copies the ledger.
+        let mut correction_ledger = Arc::new(CorrectionLedger::new(config.correction_config()));
         // Per-fleet-member saturation-refit budget: the first saturation
         // of a model's correction escalates to an incremental refit; once
         // spent, further saturation suspends the cell instead, so raw
@@ -818,161 +826,165 @@ impl EstimationServer {
         let mut clock = 0.0f64;
         let mut busy_until = 0.0f64;
         let mut events = trace.events.iter().peekable();
-        loop {
-            // When could the server next start a batch?
-            let trigger = if queue.is_empty() {
-                None
-            } else if queue.len() >= config.batch_max {
-                Some(busy_until.max(clock))
-            } else {
-                let head_arrived = queue.front().expect("non-empty").arrived_s;
-                Some(busy_until.max(head_arrived + config.batch_delay_s))
-            };
-            let next_event_at = events.peek().map(|e| e.at_s);
-            // Dispatch when the batch trigger fires no later than the next
-            // arrival (ties dispatch first); otherwise admit the arrival.
-            let dispatch = match (trigger, next_event_at) {
-                (Some(t_batch), Some(t_event)) => t_batch <= t_event,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if dispatch {
-                let t_batch = trigger.expect("dispatch implies a trigger");
-                while next_hb <= t_batch {
-                    emit_heartbeat(
-                        next_hb,
-                        queue.len(),
-                        &mut report,
-                        registry.version(),
-                        &ledger,
-                        config.correction.then_some(&correction_ledger),
-                        pool_jobs,
-                        &mut ctx.telemetry,
-                        recorder,
-                    );
-                    next_hb += config.heartbeat_s;
-                }
-                clock = clock.max(t_batch);
-                // Deadline shed: queued requests that out-waited their
-                // deadline are answered with a shed, not served late.
-                let mut deadline_shed_now = 0usize;
-                while let Some(front) = queue.front() {
-                    if clock - front.arrived_s > config.deadline_s {
-                        let q = queue.pop_front().expect("front exists");
-                        report.shed_deadline += 1;
-                        deadline_shed_now += 1;
-                        ctx.telemetry.inc("serve.shed.deadline", 1);
-                        lines.push(format!(
-                            "  {:>3} @{:.3} SHED (deadline: waited {:.3}s)",
-                            q.lineno,
-                            clock,
-                            clock - q.arrived_s
-                        ));
-                        recorder.record_request(vec![
+        // One pool for the whole replay: helpers are spawned here once and
+        // park between micro-batches. The job closure is the only worker
+        // context; the event loop below runs on this thread and hands each
+        // batch its correction snapshot inside the jobs.
+        pool::scope(
+            pool::effective_workers(config.workers, config.batch_max),
+            // Every failure is a per-line message, never a panic.
+            |_, (q, factor, corrector): PricingJob| {
+                let outcome = line_agent(&make_agent, &q.site, factor, root_seed, q.lineno)
+                    .and_then(|mut agent| {
+                        price_request(registry, &mut agent, &q.site, &q.sql, corrector.as_deref())
+                    });
+                (q, outcome)
+            },
+            |pool| loop {
+                // When could the server next start a batch?
+                let trigger = if queue.is_empty() {
+                    None
+                } else if queue.len() >= config.batch_max {
+                    Some(busy_until.max(clock))
+                } else {
+                    let head_arrived = queue.front().expect("non-empty").arrived_s;
+                    Some(busy_until.max(head_arrived + config.batch_delay_s))
+                };
+                let next_event_at = events.peek().map(|e| e.at_s);
+                // Dispatch when the batch trigger fires no later than the next
+                // arrival (ties dispatch first); otherwise admit the arrival.
+                let dispatch = match (trigger, next_event_at) {
+                    (Some(t_batch), Some(t_event)) => t_batch <= t_event,
+                    (Some(_), None) => true,
+                    (None, Some(_)) => false,
+                    (None, None) => break,
+                };
+                if dispatch {
+                    let t_batch = trigger.expect("dispatch implies a trigger");
+                    while next_hb <= t_batch {
+                        emit_heartbeat(
+                            next_hb,
+                            queue.len(),
+                            &mut report,
+                            registry.version(),
+                            &ledger,
+                            config.correction.then_some(&*correction_ledger),
+                            pool_jobs,
+                            &mut ctx.telemetry,
+                            recorder,
+                        );
+                        next_hb += config.heartbeat_s;
+                    }
+                    clock = clock.max(t_batch);
+                    // Deadline shed: queued requests that out-waited their
+                    // deadline are answered with a shed, not served late.
+                    let mut deadline_shed_now = 0usize;
+                    while let Some(front) = queue.front() {
+                        if clock - front.arrived_s > config.deadline_s {
+                            let q = queue.pop_front().expect("front exists");
+                            report.shed_deadline += 1;
+                            deadline_shed_now += 1;
+                            ctx.telemetry.inc("serve.shed.deadline", 1);
+                            lines.push(format!(
+                                "  {:>3} @{:.3} SHED (deadline: waited {:.3}s)",
+                                q.lineno,
+                                clock,
+                                clock - q.arrived_s
+                            ));
+                            recorder.record_request(vec![
+                                ("trace_id".to_string(), Json::from(q.trace_id.as_str())),
+                                ("lineno".to_string(), Json::from(q.lineno)),
+                                ("site".to_string(), Json::from(q.site.0.as_str())),
+                                ("sql".to_string(), Json::from(q.sql.as_str())),
+                                ("arrived_s".to_string(), Json::from(q.arrived_s)),
+                                ("shed_s".to_string(), Json::from(clock)),
+                                ("waited_s".to_string(), Json::from(clock - q.arrived_s)),
+                                ("outcome".to_string(), Json::from("shed_deadline")),
+                            ]);
+                        } else {
+                            break;
+                        }
+                    }
+                    // A whole batch's worth of deadline sheds in one dispatch
+                    // is a shed burst: dump-worthy.
+                    if deadline_shed_now >= config.batch_max {
+                        recorder.record_event(
+                            "anomaly",
+                            vec![
+                                ("what".to_string(), Json::from("shed_burst")),
+                                ("at_s".to_string(), Json::from(clock)),
+                                ("shed_deadline".to_string(), Json::from(deadline_shed_now)),
+                            ],
+                        );
+                    }
+                    let n = queue.len().min(config.batch_max);
+                    if n == 0 {
+                        continue;
+                    }
+                    let snapshot = config.correction.then(|| Arc::clone(&correction_ledger));
+                    let batch: Vec<PricingJob> = queue
+                        .drain(..n)
+                        .map(|q| {
+                            let factor = degradation.get(&q.site).copied().unwrap_or(1.0);
+                            (q, factor, snapshot.clone())
+                        })
+                        .collect();
+                    let completion = clock + config.service_cost_s * batch.len() as f64;
+                    let dispatched_s = clock;
+                    busy_until = completion;
+                    report.batches += 1;
+                    let batch_id = report.batches;
+                    ctx.telemetry.inc("serve.batches", 1);
+                    ctx.telemetry
+                        .observe("serve.batch_size", batch.len() as f64);
+                    let (results, pool_report) = pool.run(batch);
+                    pool_jobs += pool_report.jobs_completed;
+                    pool_steals += pool_report.steals;
+                    pool_workers = pool_workers.max(pool_report.workers);
+                    for (q, outcome) in results {
+                        let latency = completion - q.arrived_s;
+                        // Lifecycle prefix shared by every outcome of this
+                        // dispatched request.
+                        let mut record = vec![
                             ("trace_id".to_string(), Json::from(q.trace_id.as_str())),
                             ("lineno".to_string(), Json::from(q.lineno)),
                             ("site".to_string(), Json::from(q.site.0.as_str())),
                             ("sql".to_string(), Json::from(q.sql.as_str())),
                             ("arrived_s".to_string(), Json::from(q.arrived_s)),
-                            ("shed_s".to_string(), Json::from(clock)),
-                            ("waited_s".to_string(), Json::from(clock - q.arrived_s)),
-                            ("outcome".to_string(), Json::from("shed_deadline")),
-                        ]);
-                    } else {
-                        break;
-                    }
-                }
-                // A whole batch's worth of deadline sheds in one dispatch
-                // is a shed burst: dump-worthy.
-                if deadline_shed_now >= config.batch_max {
-                    recorder.record_event(
-                        "anomaly",
-                        vec![
-                            ("what".to_string(), Json::from("shed_burst")),
-                            ("at_s".to_string(), Json::from(clock)),
-                            ("shed_deadline".to_string(), Json::from(deadline_shed_now)),
-                        ],
-                    );
-                }
-                let n = queue.len().min(config.batch_max);
-                if n == 0 {
-                    continue;
-                }
-                let batch: Vec<(QueuedRequest, f64)> = queue
-                    .drain(..n)
-                    .map(|q| {
-                        let factor = degradation.get(&q.site).copied().unwrap_or(1.0);
-                        (q, factor)
-                    })
-                    .collect();
-                let completion = clock + config.service_cost_s * batch.len() as f64;
-                let dispatched_s = clock;
-                busy_until = completion;
-                report.batches += 1;
-                let batch_id = report.batches;
-                ctx.telemetry.inc("serve.batches", 1);
-                ctx.telemetry
-                    .observe("serve.batch_size", batch.len() as f64);
-                let workers = pool::effective_workers(config.workers, batch.len());
-                let make_agent = &make_agent;
-                let corrector = config.correction.then_some(&correction_ledger);
-                // Every failure is a per-line message, never a panic.
-                let (results, pool_report) =
-                    pool::run_jobs(batch, workers, move |_, (q, factor)| {
-                        let outcome = line_agent(make_agent, &q.site, factor, root_seed, q.lineno)
-                            .and_then(|mut agent| {
-                                price_request(registry, &mut agent, &q.site, &q.sql, corrector)
-                            });
-                        (q, outcome)
-                    });
-                pool_jobs += pool_report.jobs_completed;
-                pool_steals += pool_report.steals;
-                pool_workers = pool_workers.max(pool_report.workers);
-                for (q, outcome) in results {
-                    let latency = completion - q.arrived_s;
-                    // Lifecycle prefix shared by every outcome of this
-                    // dispatched request.
-                    let mut record = vec![
-                        ("trace_id".to_string(), Json::from(q.trace_id.as_str())),
-                        ("lineno".to_string(), Json::from(q.lineno)),
-                        ("site".to_string(), Json::from(q.site.0.as_str())),
-                        ("sql".to_string(), Json::from(q.sql.as_str())),
-                        ("arrived_s".to_string(), Json::from(q.arrived_s)),
-                        (
-                            "queue_wait_s".to_string(),
-                            Json::from(dispatched_s - q.arrived_s),
-                        ),
-                        ("batch".to_string(), Json::from(batch_id)),
-                        ("dispatched_s".to_string(), Json::from(dispatched_s)),
-                        ("completed_s".to_string(), Json::from(completion)),
-                        ("latency_s".to_string(), Json::from(latency)),
-                    ];
-                    match outcome {
-                        Ok(PricedRequest {
-                            class,
-                            probe,
-                            detail: Some(detail),
-                            ..
-                        }) => {
-                            report.answered += 1;
-                            ctx.telemetry.inc("serve.answered", 1);
-                            latencies.push(latency);
-                            ctx.telemetry.observe("serve.latency_virtual_s", latency);
-                            // Corrected answers carry the `±` residual
-                            // confidence; uncorrected ones render exactly
-                            // as before the correction layer existed.
-                            let provenance = if detail.corrected {
-                                format!(
-                                    "[v{} {} ±{:.0}%]",
-                                    detail.version,
-                                    detail.state_label,
-                                    detail.confidence * 100.0
-                                )
-                            } else {
-                                format!("[v{} {}]", detail.version, detail.state_label)
-                            };
-                            lines.push(format!(
+                            (
+                                "queue_wait_s".to_string(),
+                                Json::from(dispatched_s - q.arrived_s),
+                            ),
+                            ("batch".to_string(), Json::from(batch_id)),
+                            ("dispatched_s".to_string(), Json::from(dispatched_s)),
+                            ("completed_s".to_string(), Json::from(completion)),
+                            ("latency_s".to_string(), Json::from(latency)),
+                        ];
+                        match outcome {
+                            Ok(PricedRequest {
+                                class,
+                                probe,
+                                detail: Some(detail),
+                                ..
+                            }) => {
+                                report.answered += 1;
+                                ctx.telemetry.inc("serve.answered", 1);
+                                latencies.push(latency);
+                                ctx.telemetry.observe("serve.latency_virtual_s", latency);
+                                // Corrected answers carry the `±` residual
+                                // confidence; uncorrected ones render exactly
+                                // as before the correction layer existed.
+                                let provenance = if detail.corrected {
+                                    format!(
+                                        "[v{} {} ±{:.0}%]",
+                                        detail.version,
+                                        detail.state_label,
+                                        detail.confidence * 100.0
+                                    )
+                                } else {
+                                    format!("[v{} {}]", detail.version, detail.state_label)
+                                };
+                                lines.push(format!(
                                 "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: probe {:.3}s -> estimate {:.2}s {}",
                                 q.lineno,
                                 q.arrived_s,
@@ -984,241 +996,241 @@ impl EstimationServer {
                                 detail.estimate,
                                 provenance
                             ));
-                            record.extend([
-                                ("outcome".to_string(), Json::from("answered")),
-                                ("class".to_string(), Json::from(class.label())),
-                                ("probe_s".to_string(), Json::from(probe)),
-                                ("estimate_s".to_string(), Json::from(detail.estimate)),
-                                ("model_version".to_string(), Json::from(detail.version)),
-                                ("state".to_string(), Json::from(detail.state_label.as_str())),
-                            ]);
-                            if detail.corrected {
-                                report.corrections_applied += 1;
-                                ctx.telemetry.inc("serve.correction.applied", 1);
                                 record.extend([
-                                    (
-                                        "raw_estimate_s".to_string(),
-                                        Json::from(detail.raw_estimate),
-                                    ),
-                                    (
-                                        "correction_factor".to_string(),
-                                        Json::from(detail.correction),
-                                    ),
-                                    ("confidence".to_string(), Json::from(detail.confidence)),
+                                    ("outcome".to_string(), Json::from("answered")),
+                                    ("class".to_string(), Json::from(class.label())),
+                                    ("probe_s".to_string(), Json::from(probe)),
+                                    ("estimate_s".to_string(), Json::from(detail.estimate)),
+                                    ("model_version".to_string(), Json::from(detail.version)),
+                                    ("state".to_string(), Json::from(detail.state_label.as_str())),
+                                ]);
+                                if detail.corrected {
+                                    report.corrections_applied += 1;
+                                    ctx.telemetry.inc("serve.correction.applied", 1);
+                                    record.extend([
+                                        (
+                                            "raw_estimate_s".to_string(),
+                                            Json::from(detail.raw_estimate),
+                                        ),
+                                        (
+                                            "correction_factor".to_string(),
+                                            Json::from(detail.correction),
+                                        ),
+                                        ("confidence".to_string(), Json::from(detail.confidence)),
+                                    ]);
+                                }
+                            }
+                            Ok(PricedRequest {
+                                class,
+                                detail: None,
+                                ..
+                            }) => {
+                                report.no_model += 1;
+                                ctx.telemetry.inc("serve.no_model", 1);
+                                latencies.push(latency);
+                                ctx.telemetry.observe("serve.latency_virtual_s", latency);
+                                lines.push(format!(
+                                    "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: no model in registry",
+                                    q.lineno,
+                                    q.arrived_s,
+                                    completion,
+                                    latency,
+                                    q.site,
+                                    class.label()
+                                ));
+                                record.extend([
+                                    ("outcome".to_string(), Json::from("no_model")),
+                                    ("class".to_string(), Json::from(class.label())),
+                                ]);
+                            }
+                            Err(msg) => {
+                                report.errors += 1;
+                                ctx.telemetry.inc("serve.line_errors", 1);
+                                lines.push(format!("  {:>3} ERROR: {msg}", q.lineno));
+                                record.extend([
+                                    ("outcome".to_string(), Json::from("error")),
+                                    ("error".to_string(), Json::from(msg.as_str())),
                                 ]);
                             }
                         }
-                        Ok(PricedRequest {
-                            class,
-                            detail: None,
-                            ..
-                        }) => {
-                            report.no_model += 1;
-                            ctx.telemetry.inc("serve.no_model", 1);
-                            latencies.push(latency);
-                            ctx.telemetry.observe("serve.latency_virtual_s", latency);
+                        recorder.record_request(record);
+                    }
+                    continue;
+                }
+                let ev = events.next().expect("peeked");
+                while next_hb <= ev.at_s {
+                    emit_heartbeat(
+                        next_hb,
+                        queue.len(),
+                        &mut report,
+                        registry.version(),
+                        &ledger,
+                        config.correction.then_some(&*correction_ledger),
+                        pool_jobs,
+                        &mut ctx.telemetry,
+                        recorder,
+                    );
+                    next_hb += config.heartbeat_s;
+                }
+                clock = clock.max(ev.at_s);
+                match &ev.event {
+                    TraceEvent::Request { site, sql } => {
+                        report.requests += 1;
+                        ctx.telemetry.inc("serve.requests", 1);
+                        let trace_id = mint_trace_id(root_seed, ev.lineno);
+                        if queue.len() >= config.queue_capacity {
+                            report.shed_queue_full += 1;
+                            queue_full_streak += 1;
+                            ctx.telemetry.inc("serve.shed.queue_full", 1);
                             lines.push(format!(
-                                "  {:>3} @{:.3}->@{:.3} ({:.3}s) {} {}: no model in registry",
-                                q.lineno,
-                                q.arrived_s,
-                                completion,
-                                latency,
-                                q.site,
-                                class.label()
+                                "  {:>3} @{:.3} SHED (queue full at {})",
+                                ev.lineno,
+                                ev.at_s,
+                                queue.len()
                             ));
-                            record.extend([
-                                ("outcome".to_string(), Json::from("no_model")),
-                                ("class".to_string(), Json::from(class.label())),
+                            recorder.record_request(vec![
+                                ("trace_id".to_string(), Json::from(trace_id.as_str())),
+                                ("lineno".to_string(), Json::from(ev.lineno)),
+                                ("site".to_string(), Json::from(site.0.as_str())),
+                                ("sql".to_string(), Json::from(sql.as_str())),
+                                ("arrived_s".to_string(), Json::from(ev.at_s)),
+                                ("queue_depth".to_string(), Json::from(queue.len())),
+                                ("outcome".to_string(), Json::from("shed_queue_full")),
                             ]);
-                        }
-                        Err(msg) => {
-                            report.errors += 1;
-                            ctx.telemetry.inc("serve.line_errors", 1);
-                            lines.push(format!("  {:>3} ERROR: {msg}", q.lineno));
-                            record.extend([
-                                ("outcome".to_string(), Json::from("error")),
-                                ("error".to_string(), Json::from(msg.as_str())),
-                            ]);
+                            // A batch's worth of consecutive arrivals bounced
+                            // off a full queue: record the burst once, when
+                            // the streak crosses the threshold.
+                            if queue_full_streak == config.batch_max {
+                                recorder.record_event(
+                                    "anomaly",
+                                    vec![
+                                        ("what".to_string(), Json::from("shed_burst")),
+                                        ("at_s".to_string(), Json::from(ev.at_s)),
+                                        (
+                                            "consecutive_queue_full".to_string(),
+                                            Json::from(queue_full_streak),
+                                        ),
+                                    ],
+                                );
+                            }
+                        } else {
+                            queue_full_streak = 0;
+                            queue.push_back(QueuedRequest {
+                                trace_id,
+                                lineno: ev.lineno,
+                                arrived_s: ev.at_s,
+                                site: site.clone(),
+                                sql: sql.clone(),
+                            });
+                            report.max_queue_depth = report.max_queue_depth.max(queue.len());
+                            ctx.telemetry
+                                .observe("serve.queue_depth", queue.len() as f64);
                         }
                     }
-                    recorder.record_request(record);
-                }
-                continue;
-            }
-            let ev = events.next().expect("peeked");
-            while next_hb <= ev.at_s {
-                emit_heartbeat(
-                    next_hb,
-                    queue.len(),
-                    &mut report,
-                    registry.version(),
-                    &ledger,
-                    config.correction.then_some(&correction_ledger),
-                    pool_jobs,
-                    &mut ctx.telemetry,
-                    recorder,
-                );
-                next_hb += config.heartbeat_s;
-            }
-            clock = clock.max(ev.at_s);
-            match &ev.event {
-                TraceEvent::Request { site, sql } => {
-                    report.requests += 1;
-                    ctx.telemetry.inc("serve.requests", 1);
-                    let trace_id = mint_trace_id(root_seed, ev.lineno);
-                    if queue.len() >= config.queue_capacity {
-                        report.shed_queue_full += 1;
-                        queue_full_streak += 1;
-                        ctx.telemetry.inc("serve.shed.queue_full", 1);
+                    TraceEvent::Degrade { site, factor } => {
+                        let cumulative = degradation.entry(site.clone()).or_insert(1.0);
+                        *cumulative *= factor;
+                        let cumulative = *cumulative;
+                        ctx.telemetry.inc("serve.degrades", 1);
                         lines.push(format!(
-                            "  {:>3} @{:.3} SHED (queue full at {})",
-                            ev.lineno,
-                            ev.at_s,
-                            queue.len()
+                            "  {:>3} @{:.3} degrade {} x{:.2} (cumulative x{:.2})",
+                            ev.lineno, ev.at_s, site, factor, cumulative
                         ));
-                        recorder.record_request(vec![
-                            ("trace_id".to_string(), Json::from(trace_id.as_str())),
-                            ("lineno".to_string(), Json::from(ev.lineno)),
-                            ("site".to_string(), Json::from(site.0.as_str())),
-                            ("sql".to_string(), Json::from(sql.as_str())),
-                            ("arrived_s".to_string(), Json::from(ev.at_s)),
-                            ("queue_depth".to_string(), Json::from(queue.len())),
-                            ("outcome".to_string(), Json::from("shed_queue_full")),
-                        ]);
-                        // A batch's worth of consecutive arrivals bounced
-                        // off a full queue: record the burst once, when
-                        // the streak crosses the threshold.
-                        if queue_full_streak == config.batch_max {
-                            recorder.record_event(
-                                "anomaly",
-                                vec![
-                                    ("what".to_string(), Json::from("shed_burst")),
-                                    ("at_s".to_string(), Json::from(ev.at_s)),
-                                    (
-                                        "consecutive_queue_full".to_string(),
-                                        Json::from(queue_full_streak),
-                                    ),
-                                ],
-                            );
-                        }
-                    } else {
-                        queue_full_streak = 0;
-                        queue.push_back(QueuedRequest {
-                            trace_id,
-                            lineno: ev.lineno,
-                            arrived_s: ev.at_s,
-                            site: site.clone(),
-                            sql: sql.clone(),
-                        });
-                        report.max_queue_depth = report.max_queue_depth.max(queue.len());
-                        ctx.telemetry
-                            .observe("serve.queue_depth", queue.len() as f64);
-                    }
-                }
-                TraceEvent::Degrade { site, factor } => {
-                    let cumulative = degradation.entry(site.clone()).or_insert(1.0);
-                    *cumulative *= factor;
-                    let cumulative = *cumulative;
-                    ctx.telemetry.inc("serve.degrades", 1);
-                    lines.push(format!(
-                        "  {:>3} @{:.3} degrade {} x{:.2} (cumulative x{:.2})",
-                        ev.lineno, ev.at_s, site, factor, cumulative
-                    ));
-                    recorder.record_event(
-                        "degrade",
-                        vec![
-                            ("at_s".to_string(), Json::from(ev.at_s)),
-                            ("site".to_string(), Json::from(site.0.as_str())),
-                            ("factor".to_string(), Json::from(*factor)),
-                            ("cumulative".to_string(), Json::from(cumulative)),
-                        ],
-                    );
-                }
-                TraceEvent::Observe { site, sql } => {
-                    report.observations += 1;
-                    ctx.telemetry.inc("serve.observations", 1);
-                    let factor = degradation.get(site).copied().unwrap_or(1.0);
-                    let sample = observe_one(
-                        registry,
-                        &make_agent,
-                        site,
-                        sql,
-                        factor,
-                        root_seed,
-                        ev.lineno,
-                        config.correction.then_some(&correction_ledger),
-                    );
-                    let sample = match sample {
-                        Ok(s) => s,
-                        Err(msg) => {
-                            report.errors += 1;
-                            ctx.telemetry.inc("serve.line_errors", 1);
-                            lines.push(format!("  {:>3} ERROR: {msg}", ev.lineno));
-                            continue;
-                        }
-                    };
-                    // Every observed cost with a previously-served estimate
-                    // feeds the accuracy ledger, keyed by the contention
-                    // state the estimate was made in. The accuracy ledger
-                    // judges the *served* (corrected) estimate; the
-                    // correction ledger learns from the *raw* model output,
-                    // so a working correction never erases its own
-                    // evidence.
-                    let mut update: Option<CellUpdate> = None;
-                    if let Some(detail) = &sample.estimate {
-                        ledger.record(
-                            &site.0,
-                            &detail.state_label,
-                            detail.estimate,
-                            sample.observed,
+                        recorder.record_event(
+                            "degrade",
+                            vec![
+                                ("at_s".to_string(), Json::from(ev.at_s)),
+                                ("site".to_string(), Json::from(site.0.as_str())),
+                                ("factor".to_string(), Json::from(*factor)),
+                                ("cumulative".to_string(), Json::from(cumulative)),
+                            ],
                         );
-                        if detail.corrected {
-                            report.corrections_applied += 1;
-                            ctx.telemetry.inc("serve.correction.applied", 1);
-                        }
-                        if config.correction {
-                            update = Some(correction_ledger.observe(
+                    }
+                    TraceEvent::Observe { site, sql } => {
+                        report.observations += 1;
+                        ctx.telemetry.inc("serve.observations", 1);
+                        let factor = degradation.get(site).copied().unwrap_or(1.0);
+                        let sample = observe_one(
+                            registry,
+                            &make_agent,
+                            site,
+                            sql,
+                            factor,
+                            root_seed,
+                            ev.lineno,
+                            config.correction.then_some(&*correction_ledger),
+                        );
+                        let sample = match sample {
+                            Ok(s) => s,
+                            Err(msg) => {
+                                report.errors += 1;
+                                ctx.telemetry.inc("serve.line_errors", 1);
+                                lines.push(format!("  {:>3} ERROR: {msg}", ev.lineno));
+                                continue;
+                            }
+                        };
+                        // Every observed cost with a previously-served estimate
+                        // feeds the accuracy ledger, keyed by the contention
+                        // state the estimate was made in. The accuracy ledger
+                        // judges the *served* (corrected) estimate; the
+                        // correction ledger learns from the *raw* model output,
+                        // so a working correction never erases its own
+                        // evidence.
+                        let mut update: Option<CellUpdate> = None;
+                        if let Some(detail) = &sample.estimate {
+                            ledger.record(
                                 &site.0,
                                 &detail.state_label,
-                                detail.raw_estimate,
+                                detail.estimate,
                                 sample.observed,
-                            ));
+                            );
+                            if detail.corrected {
+                                report.corrections_applied += 1;
+                                ctx.telemetry.inc("serve.correction.applied", 1);
+                            }
+                            if config.correction {
+                                update = Some(Arc::make_mut(&mut correction_ledger).observe(
+                                    &site.0,
+                                    &detail.state_label,
+                                    detail.raw_estimate,
+                                    sample.observed,
+                                ));
+                            }
                         }
-                    }
-                    let idx = fleet
-                        .iter()
-                        .position(|(s, m)| s == site && m.class() == sample.class);
-                    let (Some(i), Some(detail)) = (idx, sample.estimate) else {
-                        report.no_model += 1;
-                        ctx.telemetry.inc("serve.no_model", 1);
-                        lines.push(format!(
-                            "  {:>3} @{:.3} observe {} {}: no maintained model",
-                            ev.lineno,
-                            ev.at_s,
-                            site,
-                            sample.class.label()
-                        ));
-                        continue;
-                    };
-                    let estimate = detail.estimate;
-                    let good = TestPoint {
-                        observed: sample.observed,
-                        estimated: estimate,
-                        result_card: 0,
-                        probe_cost: sample.probe,
-                    }
-                    .is_good();
-                    let drifted = {
-                        let (_, maintainer) = &mut fleet[i];
-                        let drifted = maintainer.observe(sample.observed, estimate, ctx);
-                        pending[i].push(Observation {
-                            x: sample.x,
-                            cost: sample.observed,
+                        let idx = fleet
+                            .iter()
+                            .position(|(s, m)| s == site && m.class() == sample.class);
+                        let (Some(i), Some(detail)) = (idx, sample.estimate) else {
+                            report.no_model += 1;
+                            ctx.telemetry.inc("serve.no_model", 1);
+                            lines.push(format!(
+                                "  {:>3} @{:.3} observe {} {}: no maintained model",
+                                ev.lineno,
+                                ev.at_s,
+                                site,
+                                sample.class.label()
+                            ));
+                            continue;
+                        };
+                        let estimate = detail.estimate;
+                        let good = TestPoint {
+                            observed: sample.observed,
+                            estimated: estimate,
+                            result_card: 0,
                             probe_cost: sample.probe,
-                        });
-                        drifted
-                    };
-                    lines.push(format!(
+                        }
+                        .is_good();
+                        let drifted = {
+                            let (_, maintainer) = &mut fleet[i];
+                            let drifted = maintainer.observe(sample.observed, estimate, ctx);
+                            pending[i].push(Observation {
+                                x: sample.x,
+                                cost: sample.observed,
+                                probe_cost: sample.probe,
+                            });
+                            drifted
+                        };
+                        lines.push(format!(
                         "  {:>3} @{:.3} observe {} {}: observed {:.2}s vs estimate {:.2}s [v{} {}] ({})",
                         ev.lineno,
                         ev.at_s,
@@ -1230,185 +1242,74 @@ impl EstimationServer {
                         detail.state_label,
                         if good { "good" } else { "off" }
                     ));
-                    if drifted {
-                        // Rebuild every currently-drifted fleet member on
-                        // the pool and publish the fresh snapshots; stale
-                        // pending observations predate the new models.
-                        let drifted_idx: Vec<usize> = fleet
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, (_, m))| m.monitor.drifted())
-                            .map(|(j, _)| j)
-                            .collect();
-                        let degradation = &degradation;
-                        let make_agent = &make_agent;
-                        let rebuilt = rederive_drifted(
-                            fleet,
-                            config.workers,
-                            |site, _class, env_seed| {
-                                let mut agent = make_agent(site, env_seed)
-                                    .expect("fleet sites are agent-constructible");
-                                let factor = degradation.get(site).copied().unwrap_or(1.0);
-                                apply_degradation(&mut agent, factor)
-                                    .expect("degrade factors are validated at parse");
-                                agent
-                            },
-                            Some(registry),
-                            ctx,
-                        );
-                        match rebuilt {
-                            Ok(n) => {
-                                report.rederivations += n;
-                                for &j in &drifted_idx {
-                                    pending[j].clear();
-                                    // The fresh model starts the ladder
-                                    // over: cold correction cells, budget
-                                    // restored.
-                                    let rebuilt_site = fleet[j].0.clone();
-                                    correction_ledger.reset_site(&rebuilt_site.0);
-                                    saturation_budget[j] = SATURATION_REFIT_BUDGET;
-                                }
-                                lines.push(format!(
+                        if drifted {
+                            // Rebuild every currently-drifted fleet member on
+                            // the pool and publish the fresh snapshots; stale
+                            // pending observations predate the new models.
+                            let drifted_idx: Vec<usize> = fleet
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, (_, m))| m.monitor.drifted())
+                                .map(|(j, _)| j)
+                                .collect();
+                            let degradation = &degradation;
+                            let make_agent = &make_agent;
+                            let rebuilt = rederive_drifted(
+                                fleet,
+                                config.workers,
+                                |site, _class, env_seed| {
+                                    let mut agent = make_agent(site, env_seed)
+                                        .expect("fleet sites are agent-constructible");
+                                    let factor = degradation.get(site).copied().unwrap_or(1.0);
+                                    apply_degradation(&mut agent, factor)
+                                        .expect("degrade factors are validated at parse");
+                                    agent
+                                },
+                                Some(registry),
+                                ctx,
+                            );
+                            match rebuilt {
+                                Ok(n) => {
+                                    report.rederivations += n;
+                                    for &j in &drifted_idx {
+                                        pending[j].clear();
+                                        // The fresh model starts the ladder
+                                        // over: cold correction cells, budget
+                                        // restored.
+                                        let rebuilt_site = fleet[j].0.clone();
+                                        Arc::make_mut(&mut correction_ledger)
+                                            .reset_site(&rebuilt_site.0);
+                                        saturation_budget[j] = SATURATION_REFIT_BUDGET;
+                                    }
+                                    lines.push(format!(
                                     "  maintenance @{:.3}: rederived {} drifted model(s) -> registry v{}",
                                     ev.at_s,
                                     n,
                                     registry.version()
                                 ));
-                                recorder.record_event(
-                                    "rederive",
-                                    vec![
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("rebuilt".to_string(), Json::from(n)),
-                                        (
-                                            "registry_version".to_string(),
-                                            Json::from(registry.version()),
-                                        ),
-                                    ],
-                                );
-                            }
-                            Err(e) => {
-                                ctx.telemetry.inc("maintenance.rederive_failures", 1);
-                                lines.push(format!(
+                                    recorder.record_event(
+                                        "rederive",
+                                        vec![
+                                            ("at_s".to_string(), Json::from(ev.at_s)),
+                                            ("rebuilt".to_string(), Json::from(n)),
+                                            (
+                                                "registry_version".to_string(),
+                                                Json::from(registry.version()),
+                                            ),
+                                        ],
+                                    );
+                                }
+                                Err(e) => {
+                                    ctx.telemetry.inc("maintenance.rederive_failures", 1);
+                                    lines.push(format!(
                                     "  maintenance @{:.3}: rederivation FAILED ({e}); serving continues",
                                     ev.at_s
                                 ));
-                                recorder.record_event(
-                                    "anomaly",
-                                    vec![
-                                        ("what".to_string(), Json::from("rederive_failed")),
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("error".to_string(), Json::from(e.to_string().as_str())),
-                                    ],
-                                );
-                            }
-                        }
-                    } else {
-                        // Escalation ladder, middle rung: a saturated
-                        // correction means the model itself is biased
-                        // beyond what the cheap rung should paper over.
-                        // The first saturation per model spends its refit
-                        // budget; once exhausted, the cell is suspended so
-                        // raw estimate quality reaches the drift monitor
-                        // and the heavy rung (rederivation) can trip.
-                        let mut escalated_refit = false;
-                        if let Some(u) = update.filter(|u| u.saturated) {
-                            if saturation_budget[i] > 0 {
-                                saturation_budget[i] -= 1;
-                                escalated_refit = true;
-                                report.correction_escalations += 1;
-                                ctx.telemetry.inc("serve.correction.escalations", 1);
-                                lines.push(format!(
-                                    "  maintenance @{:.3}: correction saturated ({} {} bias {:+.2}) -> incremental refit",
-                                    ev.at_s, site, detail.state_label, u.bias
-                                ));
-                                recorder.record_event(
-                                    "escalate",
-                                    vec![
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("site".to_string(), Json::from(site.0.as_str())),
-                                        (
-                                            "state".to_string(),
-                                            Json::from(detail.state_label.as_str()),
-                                        ),
-                                        ("level".to_string(), Json::from("refit")),
-                                        ("bias".to_string(), Json::from(u.bias)),
-                                        ("samples".to_string(), Json::from(u.samples)),
-                                    ],
-                                );
-                            } else if correction_ledger.suspend(&site.0, &detail.state_label) {
-                                report.correction_escalations += 1;
-                                ctx.telemetry.inc("serve.correction.escalations", 1);
-                                lines.push(format!(
-                                    "  maintenance @{:.3}: correction saturated again ({} {} bias {:+.2}) -> cell suspended, raw estimates feed the drift monitor",
-                                    ev.at_s, site, detail.state_label, u.bias
-                                ));
-                                recorder.record_event(
-                                    "escalate",
-                                    vec![
-                                        ("at_s".to_string(), Json::from(ev.at_s)),
-                                        ("site".to_string(), Json::from(site.0.as_str())),
-                                        (
-                                            "state".to_string(),
-                                            Json::from(detail.state_label.as_str()),
-                                        ),
-                                        ("level".to_string(), Json::from("suspend")),
-                                        ("bias".to_string(), Json::from(u.bias)),
-                                        ("samples".to_string(), Json::from(u.samples)),
-                                    ],
-                                );
-                            }
-                        }
-                        if escalated_refit || pending[i].len() >= config.refit_threshold {
-                            // Cheap path: fold the fresh evidence into the
-                            // model's sufficient statistics and republish.
-                            // Either way the pending batch is consumed — the
-                            // accumulator absorbs it even when the re-solve is
-                            // deferred for lack of per-state evidence.
-                            let batch = std::mem::take(&mut pending[i]);
-                            let (site_id, maintainer) = &mut fleet[i];
-                            let site_id = site_id.clone();
-                            match maintainer.refit_incremental(
-                                &site_id,
-                                &batch,
-                                Some(registry),
-                                ctx,
-                            ) {
-                                Ok(published) => {
-                                    report.incremental_refits += 1;
-                                    let version = published.unwrap_or_else(|| registry.version());
-                                    lines.push(format!(
-                                    "  maintenance @{:.3}: incremental refit {} {} ({} obs) -> registry v{}",
-                                    ev.at_s,
-                                    site_id,
-                                    sample.class.label(),
-                                    batch.len(),
-                                    version
-                                ));
                                     recorder.record_event(
-                                        "refit",
+                                        "anomaly",
                                         vec![
+                                            ("what".to_string(), Json::from("rederive_failed")),
                                             ("at_s".to_string(), Json::from(ev.at_s)),
-                                            ("site".to_string(), Json::from(site_id.0.as_str())),
-                                            ("class".to_string(), Json::from(sample.class.label())),
-                                            ("absorbed".to_string(), Json::from(batch.len())),
-                                            ("registry_version".to_string(), Json::from(version)),
-                                        ],
-                                    );
-                                    // The republished model invalidates the
-                                    // learned bias: its cells start cold.
-                                    correction_ledger.reset_site(&site_id.0);
-                                }
-                                Err(e) => {
-                                    ctx.telemetry.inc("maintenance.refit_deferred", 1);
-                                    lines.push(format!(
-                                    "  maintenance @{:.3}: refit deferred ({e}); serving continues",
-                                    ev.at_s
-                                ));
-                                    recorder.record_event(
-                                        "refit_deferred",
-                                        vec![
-                                            ("at_s".to_string(), Json::from(ev.at_s)),
-                                            ("site".to_string(), Json::from(site_id.0.as_str())),
                                             (
                                                 "error".to_string(),
                                                 Json::from(e.to_string().as_str()),
@@ -1417,11 +1318,143 @@ impl EstimationServer {
                                     );
                                 }
                             }
+                        } else {
+                            // Escalation ladder, middle rung: a saturated
+                            // correction means the model itself is biased
+                            // beyond what the cheap rung should paper over.
+                            // The first saturation per model spends its refit
+                            // budget; once exhausted, the cell is suspended so
+                            // raw estimate quality reaches the drift monitor
+                            // and the heavy rung (rederivation) can trip.
+                            let mut escalated_refit = false;
+                            if let Some(u) = update.filter(|u| u.saturated) {
+                                if saturation_budget[i] > 0 {
+                                    saturation_budget[i] -= 1;
+                                    escalated_refit = true;
+                                    report.correction_escalations += 1;
+                                    ctx.telemetry.inc("serve.correction.escalations", 1);
+                                    lines.push(format!(
+                                    "  maintenance @{:.3}: correction saturated ({} {} bias {:+.2}) -> incremental refit",
+                                    ev.at_s, site, detail.state_label, u.bias
+                                ));
+                                    recorder.record_event(
+                                        "escalate",
+                                        vec![
+                                            ("at_s".to_string(), Json::from(ev.at_s)),
+                                            ("site".to_string(), Json::from(site.0.as_str())),
+                                            (
+                                                "state".to_string(),
+                                                Json::from(detail.state_label.as_str()),
+                                            ),
+                                            ("level".to_string(), Json::from("refit")),
+                                            ("bias".to_string(), Json::from(u.bias)),
+                                            ("samples".to_string(), Json::from(u.samples)),
+                                        ],
+                                    );
+                                } else if Arc::make_mut(&mut correction_ledger)
+                                    .suspend(&site.0, &detail.state_label)
+                                {
+                                    report.correction_escalations += 1;
+                                    ctx.telemetry.inc("serve.correction.escalations", 1);
+                                    lines.push(format!(
+                                    "  maintenance @{:.3}: correction saturated again ({} {} bias {:+.2}) -> cell suspended, raw estimates feed the drift monitor",
+                                    ev.at_s, site, detail.state_label, u.bias
+                                ));
+                                    recorder.record_event(
+                                        "escalate",
+                                        vec![
+                                            ("at_s".to_string(), Json::from(ev.at_s)),
+                                            ("site".to_string(), Json::from(site.0.as_str())),
+                                            (
+                                                "state".to_string(),
+                                                Json::from(detail.state_label.as_str()),
+                                            ),
+                                            ("level".to_string(), Json::from("suspend")),
+                                            ("bias".to_string(), Json::from(u.bias)),
+                                            ("samples".to_string(), Json::from(u.samples)),
+                                        ],
+                                    );
+                                }
+                            }
+                            if escalated_refit || pending[i].len() >= config.refit_threshold {
+                                // Cheap path: fold the fresh evidence into the
+                                // model's sufficient statistics and republish.
+                                // Either way the pending batch is consumed — the
+                                // accumulator absorbs it even when the re-solve is
+                                // deferred for lack of per-state evidence.
+                                let batch = std::mem::take(&mut pending[i]);
+                                let (site_id, maintainer) = &mut fleet[i];
+                                let site_id = site_id.clone();
+                                match maintainer.refit_incremental(
+                                    &site_id,
+                                    &batch,
+                                    Some(registry),
+                                    ctx,
+                                ) {
+                                    Ok(published) => {
+                                        report.incremental_refits += 1;
+                                        let version =
+                                            published.unwrap_or_else(|| registry.version());
+                                        lines.push(format!(
+                                    "  maintenance @{:.3}: incremental refit {} {} ({} obs) -> registry v{}",
+                                    ev.at_s,
+                                    site_id,
+                                    sample.class.label(),
+                                    batch.len(),
+                                    version
+                                ));
+                                        recorder.record_event(
+                                            "refit",
+                                            vec![
+                                                ("at_s".to_string(), Json::from(ev.at_s)),
+                                                (
+                                                    "site".to_string(),
+                                                    Json::from(site_id.0.as_str()),
+                                                ),
+                                                (
+                                                    "class".to_string(),
+                                                    Json::from(sample.class.label()),
+                                                ),
+                                                ("absorbed".to_string(), Json::from(batch.len())),
+                                                (
+                                                    "registry_version".to_string(),
+                                                    Json::from(version),
+                                                ),
+                                            ],
+                                        );
+                                        // The republished model invalidates the
+                                        // learned bias: its cells start cold.
+                                        Arc::make_mut(&mut correction_ledger)
+                                            .reset_site(&site_id.0);
+                                    }
+                                    Err(e) => {
+                                        ctx.telemetry.inc("maintenance.refit_deferred", 1);
+                                        lines.push(format!(
+                                    "  maintenance @{:.3}: refit deferred ({e}); serving continues",
+                                    ev.at_s
+                                ));
+                                        recorder.record_event(
+                                            "refit_deferred",
+                                            vec![
+                                                ("at_s".to_string(), Json::from(ev.at_s)),
+                                                (
+                                                    "site".to_string(),
+                                                    Json::from(site_id.0.as_str()),
+                                                ),
+                                                (
+                                                    "error".to_string(),
+                                                    Json::from(e.to_string().as_str()),
+                                                ),
+                                            ],
+                                        );
+                                    }
+                                }
+                            }
                         }
                     }
                 }
-            }
-        }
+            },
+        );
 
         report.virtual_makespan_s = clock.max(busy_until);
         // Trailing heartbeats: the schedule runs to the end of the replay
@@ -1433,7 +1466,7 @@ impl EstimationServer {
                 &mut report,
                 registry.version(),
                 &ledger,
-                config.correction.then_some(&correction_ledger),
+                config.correction.then_some(&*correction_ledger),
                 pool_jobs,
                 &mut ctx.telemetry,
                 recorder,
@@ -1662,10 +1695,11 @@ pub struct PricedRequest {
 
 /// Prices one SQL request at `site` against the registry: the one pricing
 /// sequence behind the serving loop's requests and observations and the
-/// CLI's batch `serve` and `estimate`. Clones the agent's schema once,
-/// parses and classifies the SQL against it, advances the agent one tick,
-/// probes its contention, and prices through [`ModelRegistry::estimate`]
-/// with the optional correction ledger.
+/// CLI's batch `serve` and `estimate`. Parses and classifies the SQL
+/// against the agent's schema, advances the agent one tick, probes its
+/// contention, and prices through [`ModelRegistry::estimate`] with the
+/// optional correction ledger. The schema is borrowed, never cloned:
+/// neither the tick nor the probe changes it.
 ///
 /// `Err` is the per-line message: the SQL error, or `query cannot be
 /// classified`. A missing model is not an error but `detail: None`.
@@ -1676,15 +1710,14 @@ pub fn price_request(
     sql: &str,
     correction: Option<&CorrectionLedger>,
 ) -> Result<PricedRequest, String> {
-    let schema = agent.catalog().clone();
-    let query = parse_query(&schema, sql).map_err(|e| e.to_string())?;
-    let class =
-        classify(&schema, &query).ok_or_else(|| "query cannot be classified".to_string())?;
+    let query = parse_query(agent.catalog(), sql).map_err(|e| e.to_string())?;
+    let class = classify(agent.catalog(), &query)
+        .ok_or_else(|| "query cannot be classified".to_string())?;
     agent.tick();
     let probe = agent.probe();
     let detail = registry.estimate(&EstimateQuery {
         site,
-        schema: &schema,
+        schema: agent.catalog(),
         query: &query,
         probe_cost: probe,
         correction,

@@ -555,11 +555,14 @@ fn encode_model(m: &CostModel) -> Vec<u8> {
     out
 }
 
-fn decode_model(bytes: &[u8]) -> Result<CostModel, CoreError> {
+/// Decodes a model body keyed to `class`; variable indexes outside the
+/// class's family are corrupt.
+fn decode_model(bytes: &[u8], class: QueryClass) -> Result<CostModel, CoreError> {
     let mut r = BinReader::new(bytes);
     let form = form_from_code(r.u8()?)?;
     let states = StateSet::from_edges(r.f64s()?)?;
     let (var_indexes, var_names) = r.vars()?;
+    class.check_var_indexes(&var_indexes).map_err(bin_err)?;
     let fit = FitStats {
         r_squared: r.f64()?,
         adj_r_squared: r.f64()?,
@@ -648,10 +651,13 @@ fn put_blocks(out: &mut Vec<u8>, acc: &ModelAccumulator) {
     }
 }
 
-/// Decodes either accumulator layout. `model` provides the shape for
-/// `SHAPE_FROM_MODEL` bodies; `None` (the delta path) rejects them.
+/// Decodes either accumulator layout of an accumulator keyed to `class`.
+/// `model` provides the shape for `SHAPE_FROM_MODEL` bodies; `None` (the
+/// delta path) rejects them. Variable indexes outside the class's family
+/// are corrupt.
 fn decode_accumulator(
     bytes: &[u8],
+    class: QueryClass,
     model: Option<&CostModel>,
 ) -> Result<ModelAccumulator, CoreError> {
     let mut r = BinReader::new(bytes);
@@ -675,6 +681,7 @@ fn decode_accumulator(
         }
         other => return Err(bin_err(format!("unknown accumulator shape flag {other}"))),
     };
+    class.check_var_indexes(&var_indexes).map_err(bin_err)?;
     let blocks_len = r.u16()? as usize;
     let mut blocks = Vec::with_capacity(blocks_len.min(1024));
     for _ in 0..blocks_len {
@@ -770,11 +777,12 @@ fn decode_snapshot_frame(payload: &[u8]) -> Result<CatalogSnapshot, CoreError> {
         let body = r.take(len)?;
         match kind {
             ENTRY_MODEL => {
-                catalog.insert_model(site, class_from_code(class)?, decode_model(body)?);
+                let class = class_from_code(class)?;
+                catalog.insert_model(site, class, decode_model(body, class)?);
             }
             ENTRY_GRAM => {
                 let class = class_from_code(class)?;
-                let acc = decode_accumulator(body, catalog.model(&site, class))?;
+                let acc = decode_accumulator(body, class, catalog.model(&site, class))?;
                 catalog.insert_accumulator(site, class, acc);
             }
             ENTRY_PROBE => {
@@ -851,23 +859,24 @@ fn decode_delta_frame(payload: &[u8]) -> Result<CatalogDelta, CoreError> {
         let len = r.u32()? as usize;
         let body = r.take(len)?;
         match op {
-            OP_PUT_MODEL => delta.put_model(site, class_from_code(class)?, decode_model(body)?),
-            OP_PUT_GRAM => delta.put_accumulator(
-                site,
-                class_from_code(class)?,
-                decode_accumulator(body, None)?,
-            ),
+            OP_PUT_MODEL => {
+                let class = class_from_code(class)?;
+                delta.put_model(site, class, decode_model(body, class)?);
+            }
+            OP_PUT_GRAM => {
+                let class = class_from_code(class)?;
+                delta.put_accumulator(site, class, decode_accumulator(body, class, None)?);
+            }
             OP_PUT_PROBE => {
                 if class != NO_CLASS {
                     return Err(bin_err("probe op carries a class byte"));
                 }
                 delta.put_probe_estimator(site, decode_probe(body)?);
             }
-            OP_MERGE_GRAM => delta.merge_accumulator(
-                site,
-                class_from_code(class)?,
-                decode_accumulator(body, None)?,
-            ),
+            OP_MERGE_GRAM => {
+                let class = class_from_code(class)?;
+                delta.merge_accumulator(site, class, decode_accumulator(body, class, None)?);
+            }
             other => return Err(bin_err(format!("unknown delta op {other}"))),
         }
     }
@@ -1305,6 +1314,49 @@ mod tests {
         let text = text.replacen("states 0 1 2 3\n", "states 0 NaN 2 3\n", 1);
         let err = GlobalCatalog::import(&text).unwrap_err();
         assert!(err.to_string().contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_var_indexes_are_rejected_by_the_binary_decoder() {
+        // An index past the class's variable family would panic the first
+        // `Observation::project` of a request served from this snapshot.
+        let snap = sample_snapshot(1);
+        let width = QueryClass::UnaryNoIndex.family().all().len() as u16;
+        // `2:N_R` in the binary encoding: the u16 index, then the name.
+        let mut var = Vec::new();
+        put_u16(&mut var, 2);
+        put_str(&mut var, "N_R");
+        let patch = |bytes: &[u8]| {
+            let at = bytes
+                .windows(var.len())
+                .position(|w| w == var)
+                .expect("the var is encoded");
+            let mut bytes = bytes.to_vec();
+            bytes[at..at + 2].copy_from_slice(&width.to_le_bytes());
+            bytes
+        };
+        let message = format!("variable index {width} out of range");
+
+        // A snapshot frame's model body.
+        let err = snapshot_from_bytes(&patch(&snapshot_to_bytes(&snap))).unwrap_err();
+        assert!(err.to_string().contains(&message), "{err}");
+
+        // A delta frame's self-describing accumulator body.
+        let mut next = snap.clone();
+        next.version = 2;
+        let model = sample_model(3);
+        let acc = ModelAccumulator::from_observations(&model, &sample_obs(3, 36, 7));
+        next.catalog
+            .insert_accumulator("site-a".into(), QueryClass::UnaryNoIndex, acc);
+        let delta = CatalogDelta::between(&snap, &next).unwrap();
+        let mut bytes = snapshot_to_bytes(&snap);
+        let frame = delta_to_frame_bytes(&delta);
+        bytes.extend_from_slice(&frame);
+        assert!(snapshot_from_bytes(&bytes).is_ok());
+        let mut bytes = snapshot_to_bytes(&snap);
+        bytes.extend_from_slice(&patch(&frame));
+        let err = snapshot_from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains(&message), "{err}");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! * a fn annotated `// ctx: serial-only` (directly above or trailing its
 //!   `fn` line) must never be reachable from **worker context**;
 //! * worker context is seeded by the closure argument of every
-//!   `pool::run_jobs(…)` call and propagated through direct calls to a
-//!   fixpoint (a fn called from worker context is itself worker context);
+//!   `pool::run_jobs(…)` call and by the job closure (the first closure
+//!   argument, not the serial body closure) of every `pool::scope(…)`
+//!   call, and propagated through direct calls to a fixpoint (a fn called
+//!   from worker context is itself worker context);
 //! * any resolved call edge from worker context into a serial-only fn is a
 //!   `serial-only-escape` finding at the call line, waivable with the
 //!   usual `// lint:allow(serial-only-escape): <justification>`.
@@ -196,25 +198,27 @@ pub fn check_context(files: &[AnalyzedFile]) -> Vec<Finding> {
         }
     }
 
-    // Seed: every call site inside a run_jobs closure region, with a
-    // provenance chain for the finding message.
-    // worker[def] = chain of fn labels from the closure to that def.
-    let mut worker: BTreeMap<DefId, Vec<String>> = BTreeMap::new();
+    // Seed: every call site inside a worker region, with a provenance
+    // chain for the finding message.
+    // worker[def] = (the seeding region's entry, chain of fn labels from
+    // the closure to that def).
+    let mut worker: BTreeMap<DefId, (&str, Vec<String>)> = BTreeMap::new();
     let mut queue: Vec<DefId> = Vec::new();
 
     let consider = |files: &[AnalyzedFile],
                     findings: &mut Vec<Finding>,
-                    worker: &mut BTreeMap<DefId, Vec<String>>,
+                    worker: &mut BTreeMap<DefId, (&'static str, Vec<String>)>,
                     queue: &mut Vec<DefId>,
                     file: usize,
                     call_index: usize,
+                    entry: &'static str,
                     chain: &[String]| {
         let call = &files[file].graph.calls[call_index];
         for target in ws.resolve(file, call_index) {
             let def = &files[target.0].graph.defs[target.1];
             if def.serial_only {
                 let via = if chain.is_empty() {
-                    "directly inside a `run_jobs` closure".to_string()
+                    format!("directly inside {entry}")
                 } else {
                     format!("via worker-context fn(s) {}", chain.join(" -> "))
                 };
@@ -234,20 +238,29 @@ pub fn check_context(files: &[AnalyzedFile]) -> Vec<Finding> {
             } else if let std::collections::btree_map::Entry::Vacant(e) = worker.entry(target) {
                 let mut next = chain.to_vec();
                 next.push(def_label(files, target));
-                e.insert(next);
+                e.insert((entry, next));
                 queue.push(target);
             }
         }
     };
 
     for (fi, f) in files.iter().enumerate() {
-        for &(start, end) in &f.graph.worker_regions {
+        for &(start, end, entry) in &f.graph.worker_regions {
             if f.graph.in_test_code(start) {
                 continue;
             }
             for (ci, c) in f.graph.calls.iter().enumerate() {
                 if c.token_index >= start && c.token_index < end {
-                    consider(files, &mut findings, &mut worker, &mut queue, fi, ci, &[]);
+                    consider(
+                        files,
+                        &mut findings,
+                        &mut worker,
+                        &mut queue,
+                        fi,
+                        ci,
+                        entry,
+                        &[],
+                    );
                 }
             }
         }
@@ -255,7 +268,7 @@ pub fn check_context(files: &[AnalyzedFile]) -> Vec<Finding> {
 
     // Fixpoint: propagate worker context through resolved bodies.
     while let Some(id) = queue.pop() {
-        let chain = worker.get(&id).cloned().unwrap_or_default();
+        let (entry, chain) = worker.get(&id).cloned().unwrap_or_default();
         let (fi, di) = id;
         let Some((bs, be)) = files[fi].graph.defs[di].body else {
             continue;
@@ -272,6 +285,7 @@ pub fn check_context(files: &[AnalyzedFile]) -> Vec<Finding> {
                     &mut queue,
                     fi,
                     ci,
+                    entry,
                     &chain,
                 );
             }
@@ -355,6 +369,27 @@ mod tests {
         ]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("Ledger::fold"));
+    }
+
+    #[test]
+    fn pool_scope_job_closure_is_worker_context_and_its_body_is_not() {
+        let bad = format!(
+            "{LEDGER}pub fn bad(l: &Ledger, m: &mut Ledger) {{\n    pool::scope(\n        2,\n        |_, j: u64| l.fold(j),\n        |pool| {{\n            m.fold(1);\n            pool.run(vec![1u64])\n        }},\n    );\n}}\n"
+        );
+        let f = run(&[("crates/x/src/lib.rs", &bad)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 9, "the job closure's call, not the body's");
+        assert!(
+            f[0].message
+                .contains("directly inside a `pool::scope` job closure"),
+            "{}",
+            f[0].message
+        );
+
+        let ok = format!(
+            "{LEDGER}pub fn ok(m: &mut Ledger) {{\n    pool::scope(2, |_, j: u64| j + 1, |pool| {{\n        m.fold(1);\n        pool.run(vec![1u64])\n    }});\n}}\n"
+        );
+        assert!(run(&[("crates/x/src/lib.rs", &ok)]).is_empty());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The context pass (`serial-only-escape`, see [`crate::context`]) needs a
 //! shallow structural view of every source file: which functions are
 //! defined (and inside which `impl` block), where their bodies start and
-//! end, which call sites they contain, and where the closures handed to
-//! `pool::run_jobs` begin. All of it is recovered from the scanner's token
+//! end, which call sites they contain, and which closures run on pool
+//! workers: the closure handed to `pool::run_jobs` and the job closure of
+//! `pool::scope`. All of it is recovered from the scanner's token
 //! stream — no syntax tree, no name resolution beyond what the tokens
 //! carry. The limits of that shallowness are deliberate and documented in
 //! DESIGN §5: no generics or trait-object resolution, no calls through
@@ -75,12 +76,18 @@ pub struct FileGraph {
     pub defs: Vec<FnDef>,
     /// Call sites in token order.
     pub calls: Vec<CallSite>,
-    /// Worker-context token ranges `[start, end)`: the closure portion of
-    /// every `run_jobs(…)` call (from the first `|` inside the call's
-    /// parentheses to their close). Conservative: if an earlier argument
-    /// also contains a closure the region starts there, over- rather than
-    /// under-approximating worker context.
-    pub worker_regions: Vec<(usize, usize)>,
+    /// Worker-context token ranges `[start, end)`, each with the entry
+    /// that seeded it as finding-message text:
+    ///
+    /// * the closure portion of every `run_jobs(…)` call (from the first
+    ///   `|` inside the call's parentheses to their close). Conservative:
+    ///   if an earlier argument also contains a closure the region starts
+    ///   there, over- rather than under-approximating worker context;
+    /// * the job closure of every `pool::scope(…)` call: its first closure
+    ///   argument, from the opening `|` to the comma that ends the
+    ///   argument. The body closure after it runs on the calling thread
+    ///   and stays serial context.
+    pub worker_regions: Vec<(usize, usize, &'static str)>,
     /// `ident → possible type names` gathered from `ident : …Type…`
     /// declaration windows (params, fields, typed lets) in this file.
     pub type_hints: BTreeMap<String, BTreeSet<String>>,
@@ -151,6 +158,53 @@ fn skip_generics(s: &ScannedFile, mut i: usize) -> usize {
         i += 1;
     }
     i
+}
+
+/// The first closure argument of the call whose `(` is at `open` and whose
+/// balanced range ends at `end`: `[opening |, end of argument)`, where the
+/// argument ends at the next top-level `,` or at the call's `)`. Nesting
+/// in `()`/`[]`/`{}` and turbofish generics is skipped, and the closure's
+/// parameter list is skipped to its closing `|` (parameters may hold
+/// top-level commas). `None` when no argument starts a closure.
+fn first_closure_argument(s: &ScannedFile, open: usize, end: usize) -> Option<(usize, usize)> {
+    let close = end.checked_sub(1)?;
+    let mut depth = 0usize;
+    let mut bar: Option<usize> = None;
+    let mut k = open + 1;
+    while k < close {
+        let t = s.tokens[k].text.as_str();
+        match t {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth = depth.saturating_sub(1),
+            "<" if k >= 2 && s.tokens[k - 1].text == ":" && s.tokens[k - 2].text == ":" => {
+                k = skip_generics(s, k);
+                continue;
+            }
+            "|" if depth == 0 && bar.is_none() => {
+                bar = Some(k);
+                // Skip the parameter list to its closing `|`.
+                let mut inner = 0usize;
+                k += 1;
+                while k < close {
+                    match s.tokens[k].text.as_str() {
+                        "(" | "[" | "{" | "<" => inner += 1,
+                        ")" | "]" | "}" | ">" => inner = inner.saturating_sub(1),
+                        "|" if inner == 0 => break,
+                        _ => {}
+                    }
+                    k += 1;
+                }
+            }
+            "," if depth == 0 => {
+                if let Some(start) = bar {
+                    return Some((start, k));
+                }
+            }
+            _ => {}
+        }
+        k += 1;
+    }
+    bar.map(|start| (start, close))
 }
 
 /// `impl` block spans: `(body_start, body_end, owner)` where the body is
@@ -375,15 +429,20 @@ pub fn extract(s: &ScannedFile) -> FileGraph {
         });
     }
 
-    // --- worker regions: run_jobs closures --------------------------------
+    // --- worker regions: run_jobs closures, pool::scope job closures -----
     for call in &g.calls {
-        if call.name != "run_jobs" {
-            continue;
-        }
         let open = call.token_index + 1;
-        let end = balanced(s, open, "(", ")");
-        if let Some(bar) = (open..end).find(|&k| s.tokens[k].text == "|") {
-            g.worker_regions.push((bar, end));
+        if call.name == "run_jobs" {
+            let end = balanced(s, open, "(", ")");
+            if let Some(bar) = (open..end).find(|&k| s.tokens[k].text == "|") {
+                g.worker_regions.push((bar, end, "a `run_jobs` closure"));
+            }
+        } else if call.name == "scope" && call.kind == CallKind::Qualified("pool".to_string()) {
+            let end = balanced(s, open, "(", ")");
+            if let Some((bar, arg_end)) = first_closure_argument(s, open, end) {
+                g.worker_regions
+                    .push((bar, arg_end, "a `pool::scope` job closure"));
+            }
         }
     }
 
@@ -480,13 +539,32 @@ mod tests {
         assert_eq!(by_name("publish").kind, CallKind::Qualified("Reg".into()));
         assert_eq!(by_name("free").kind, CallKind::Bare);
         assert_eq!(g.worker_regions.len(), 1);
-        let (start, end) = g.worker_regions[0];
+        let (start, end, _) = g.worker_regions[0];
         let h = by_name("h");
         assert!(
             h.token_index >= start && h.token_index < end,
             "h is worker context"
         );
         assert!(by_name("free").token_index < start, "free is not");
+    }
+
+    #[test]
+    fn pool_scope_region_covers_the_job_closure_only() {
+        let s = scan(
+            "fn f() { pool::scope(w(a, b), |_, (q, n): Job| -> R { priced(q, n) }, |pool| loop { serial(pool.run(j)); }); thread::scope(|t| other()); }",
+        );
+        let g = extract(&s);
+        assert_eq!(g.worker_regions.len(), 1, "only pool::scope seeds a region");
+        let (start, end, _) = g.worker_regions[0];
+        let at = |n: &str| g.calls.iter().find(|c| c.name == n).unwrap().token_index;
+        let inside = |n: &str| at(n) >= start && at(n) < end;
+        assert!(inside("priced"), "the job closure is worker context");
+        assert!(!inside("w"), "the worker-count argument is not");
+        assert!(
+            !inside("serial") && !inside("run"),
+            "the body closure is not"
+        );
+        assert!(!inside("other"));
     }
 
     #[test]

@@ -143,6 +143,22 @@ fn serial_only_escape_fixture_flags_direct_and_transitive_escapes() {
 }
 
 #[test]
+fn serial_only_escape_fixture_flags_the_scope_job_closure_not_its_body() {
+    let files = vec![analyze_source(
+        "crates/core/src/serial_only_scope.rs",
+        include_str!("fixtures/serial_only_scope.rs"),
+    )];
+    let f = mdbs_lint::context::check_context(&files);
+    assert_only(&f, mdbs_lint::SERIAL_ONLY_ESCAPE, &[17]);
+    assert!(
+        f[0].message
+            .contains("directly inside a `pool::scope` job closure"),
+        "{}",
+        f[0].message
+    );
+}
+
+#[test]
 fn unregistered_metric_fixture_flags_missing_and_mismatched_names() {
     let files = vec![analyze_source(
         "crates/core/src/unregistered_metric.rs",

@@ -106,7 +106,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                         n = n
                             .checked_mul(10)
                             .and_then(|n| n.checked_add(v as u64))
-                            .ok_or(SqlError {
+                            .ok_or_else(|| SqlError {
                                 message: "numeric literal overflows u64".into(),
                             })?;
                         chars.next();
@@ -180,12 +180,22 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Resolves a table name: `R<n>` in either case, where `<n>` is the
+    /// table number written exactly as [`TableId`] displays it (`r4`
+    /// names R4, `R04` names nothing). Allocates only on failure.
     fn resolve_table(&self, name: &str) -> Result<&'a TableDef, SqlError> {
+        let number = name
+            .strip_prefix(['R', 'r'])
+            .filter(|digits| {
+                digits.bytes().all(|b| b.is_ascii_digit())
+                    && (*digits == "0" || !digits.starts_with('0'))
+            })
+            .and_then(|digits| digits.parse::<u32>().ok());
         self.catalog
             .tables()
             .iter()
-            .find(|t| t.id.to_string().eq_ignore_ascii_case(name))
-            .ok_or(SqlError {
+            .find(|t| Some(t.id.0) == number)
+            .ok_or_else(|| SqlError {
                 message: format!(
                     "unknown table `{name}` (have: {})",
                     self.catalog
@@ -203,7 +213,7 @@ impl<'a> Parser<'a> {
             .columns
             .iter()
             .position(|c| c.name.eq_ignore_ascii_case(name))
-            .ok_or(SqlError {
+            .ok_or_else(|| SqlError {
                 message: format!("table {} has no column `{name}`", table.id),
             })
     }
@@ -740,6 +750,50 @@ mod tests {
         // ORDER BY on a foreign table is rejected.
         let e = parse_query(&db, "select a1 from R4 order by R2.a1").unwrap_err();
         assert!(e.message.contains("not the FROM table"), "{}", e.message);
+    }
+
+    #[test]
+    fn unknown_table_and_column_messages_are_pinned() {
+        let db = db();
+        let have = "R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12";
+        for (sql, message) in [
+            (
+                "select a1 from R04",
+                format!("unknown table `R04` (have: {have})"),
+            ),
+            (
+                "select a1 from R13 where a2 < 5",
+                format!("unknown table `R13` (have: {have})"),
+            ),
+            (
+                "select a1 from T4",
+                format!("unknown table `T4` (have: {have})"),
+            ),
+            (
+                "select a1 from R",
+                format!("unknown table `R` (have: {have})"),
+            ),
+            (
+                "select R4.a1 from R4 join r00 on R4.a5 = r00.a5",
+                format!("unknown table `r00` (have: {have})"),
+            ),
+            (
+                "select zz from R4",
+                "table R4 has no column `zz`".to_string(),
+            ),
+            (
+                "select a1 from r4 where A99 < 3",
+                "table R4 has no column `A99`".to_string(),
+            ),
+        ] {
+            assert_eq!(parse_query(&db, sql).unwrap_err().message, message, "{sql}");
+        }
+        // `r4` names R4 in any case; a zero-padded number names nothing.
+        assert_eq!(
+            parse_query(&db, "select a1 from r4").unwrap(),
+            parse_query(&db, "select a1 from R4").unwrap()
+        );
+        assert!(parse_query(&db, "select a1 from R4").is_ok());
     }
 
     #[test]

@@ -286,6 +286,49 @@ fn one_bad_trace_line_does_not_drop_the_replay() {
     assert!(out.contains("unknown site"), "{out}");
 }
 
+/// The serving loop keeps one pool for the whole replay: every agent the
+/// pool builds across dozens of micro-batches is built on one of
+/// `workers` threads (the loop's own included), never on threads spawned
+/// per batch.
+#[test]
+fn pool_threads_are_spawned_once_per_replay() {
+    let catalog = seeded_catalog();
+    let mut text = String::new();
+    // Pairs of simultaneous requests: 30 full two-request batches.
+    for i in 0..60 {
+        text.push_str(&format!(
+            "@{:.1} request oracle {}\n",
+            (i / 2) as f64 * 0.5,
+            G1_SQLS[i % G1_SQLS.len()]
+        ));
+    }
+    let trace = RequestTrace::parse(&text);
+    let snapshot = CatalogSnapshot::at_version(catalog, 0);
+    let registry = ModelRegistry::from_snapshot(&snapshot);
+    let mut server = EstimationServer::new(registry, Vec::new(), loop_config(2));
+    let threads = std::sync::Mutex::new(std::collections::BTreeSet::new());
+    let report = server.run(
+        &trace,
+        |site: &SiteId, seed: u64| {
+            threads
+                .lock()
+                .unwrap()
+                .insert(format!("{:?}", std::thread::current().id()));
+            (site.0 == "oracle").then(|| oracle_agent(seed))
+        },
+        &mut PipelineCtx::seeded(9),
+    );
+    assert_eq!(report.answered, 60, "{}", report.rendered);
+    assert_eq!(report.batches, 30, "{}", report.rendered);
+    let threads = threads.into_inner().unwrap();
+    assert!(
+        !threads.is_empty() && threads.len() <= 2,
+        "{} distinct threads built agents over {} batches",
+        threads.len(),
+        report.batches
+    );
+}
+
 /// Satellite: readers estimating concurrently with maintenance publishing
 /// incremental-refit snapshots never see a torn or version-regressing
 /// read — the versions each reader observes are monotone.
