@@ -252,10 +252,13 @@ awk -v on="$CORR_P50" -v off="$PLAIN_P50" 'BEGIN {
 }'
 rm -rf "$SERVE_DIR"
 
-echo "==> bench --json smoke (serve_loop virtual metrics)"
+echo "==> bench --json smoke (serve_loop virtual metrics + per-request layers)"
 SERVE_BENCH_JSON="${TMPDIR:-/tmp}/mdbs-ci-serve-bench.$$.json"
-cargo bench -q --offline --bench serve_loop -- virtual --json "$SERVE_BENCH_JSON" > /dev/null
+cargo bench -q --offline --bench serve_loop -- virtual layer --json "$SERVE_BENCH_JSON" > /dev/null
 ./target/release/bench-json-check "$SERVE_BENCH_JSON"
+for row in layer/agent_make layer/sql_parse; do
+  grep -q "\"name\":\"$row\"" "$SERVE_BENCH_JSON"
+done
 rm -f "$SERVE_BENCH_JSON"
 
 echo "==> bench --json smoke (serve_observability recording overhead)"

@@ -11,7 +11,11 @@
 //!   [`Harness::record`]: per-request latency percentiles and virtual
 //!   nanoseconds per answered request (sustained throughput is its
 //!   reciprocal). These are deterministic replay outputs, identical on
-//!   every host and at every `--jobs` count.
+//!   every host and at every `--jobs` count;
+//! * `layer/*` — wall-clock cost of the per-request set-up steps every
+//!   served request pays before its probe and estimate: building an
+//!   agent (most of it the site's `standard_database`), and parsing SQL
+//!   (one G1 statement plus one G3 join per iteration).
 
 use mdbs_bench::harness::Harness;
 use mdbs_bench::workloads::Site;
@@ -25,6 +29,8 @@ use mdbs_core::registry::ModelRegistry;
 use mdbs_core::server::{fleet_from_snapshot, EstimationServer, RequestTrace, ServeConfig};
 use mdbs_core::states::StateAlgorithm;
 use mdbs_core::store::CatalogSnapshot;
+use mdbs_sim::datagen::standard_database;
+use mdbs_sim::sql::parse_query;
 
 const G1_SQLS: &[&str] = &[
     "select a1 from R2 where a2 < 100",
@@ -32,6 +38,10 @@ const G1_SQLS: &[&str] = &[
     "select a3 from R4 where a4 > 200",
     "select a1, a3 from R6 where a6 < 900",
 ];
+
+/// A two-way join (class G3) for the SQL-parse layer row.
+const G3_SQL: &str = "select R2.a1, R3.a2 from R2 join R3 on R2.a5 = R3.a5 \
+                      where R2.a2 < 500 and R3.a6 > 100";
 
 /// One maintained oracle/G1 model with its warm-start accumulator.
 fn seeded_catalog() -> GlobalCatalog {
@@ -137,6 +147,18 @@ fn main() {
     // maintenance path (24 observations, refit at 24).
     h.bench("replay/observe_24_refit", 1, 3, || {
         replay(&catalog, &observations, 24, 4)
+    });
+
+    // Per-request set-up layers, one call per timed iteration.
+    h.bench("layer/agent_make", 50, 1000, || {
+        Site::Oracle.dynamic_agent(7)
+    });
+    let schema = standard_database(Site::Oracle.db_seed());
+    h.bench("layer/sql_parse", 50, 1000, || {
+        (
+            parse_query(&schema, G1_SQLS[1]).expect("G1 statement parses"),
+            parse_query(&schema, G3_SQL).expect("G3 join parses"),
+        )
     });
 
     // Virtual-time service quality of the same replay: deterministic, so

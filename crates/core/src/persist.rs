@@ -510,6 +510,8 @@ impl ProbeCostEstimator {
                         );
                         names.push(name.to_string());
                     }
+                    ProbeCostEstimator::check_selected(&selected)
+                        .map_err(|m| parse_err_at(ln, m))?;
                 }
                 Some("coef") => {
                     let cs: Result<Vec<f64>, _> = parts.map(parse_f64).collect();
@@ -762,6 +764,41 @@ mod tests {
                 err.contains(&format!("variable index {width} out of range")),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_probe_indexes_are_rejected_by_the_text_decoder() {
+        // An index past `SystemStats::probe_predictors` would panic the
+        // first `ProbeCostEstimator::estimate` on the imported catalog.
+        let mut catalog = GlobalCatalog::new();
+        catalog.insert_probe_estimator(
+            "site-a".into(),
+            ProbeCostEstimator {
+                selected: vec![0, 2],
+                names: vec!["load_avg_1m".into(), "mem_used_mb".into()],
+                coefficients: vec![0.5, 1.25, -0.75],
+                r_squared: 0.9,
+                see: 0.1,
+            },
+        );
+        let text = catalog.export();
+        assert!(
+            text.contains("params 0:load_avg_1m 2:mem_used_mb\n"),
+            "{text}"
+        );
+        let with_index = |j: usize| text.replace("2:mem_used_mb", &format!("{j}:mem_used_mb"));
+        let width = mdbs_sim::SystemStats::probe_predictor_names().len();
+        assert!(GlobalCatalog::import(&with_index(width - 1)).is_ok());
+        for j in [width, 9] {
+            let err = GlobalCatalog::import(&with_index(j))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("probe predictor index {j} out of range")),
+                "{err}"
+            );
+            assert!(err.contains("line 4"), "names the params line: {err}");
         }
     }
 

@@ -42,12 +42,10 @@ impl ProbeCostEstimator {
         let mut selected: Vec<usize> = (0..all_names.len()).collect();
         // Drop constant predictors up front (zero variance breaks OLS).
         selected.retain(|&j| {
-            let col: Vec<f64> = samples
+            let first = samples[0].0.probe_predictors()[j];
+            samples
                 .iter()
-                .map(|(s, _)| s.probe_predictors()[j])
-                .collect();
-            let first = col[0];
-            col.iter().any(|v| (v - first).abs() > 1e-12)
+                .any(|(s, _)| (s.probe_predictors()[j] - first).abs() > 1e-12)
         });
         let y: Vec<f64> = samples.iter().map(|(_, c)| *c).collect();
         loop {
@@ -93,6 +91,20 @@ impl ProbeCostEstimator {
             .collect();
         let x = Matrix::from_rows(&rows).map_err(CoreError::Numeric)?;
         OlsFit::fit(&x, y, true).map_err(CoreError::Numeric)
+    }
+
+    /// Checks that every index in `selected` names one of
+    /// [`SystemStats::probe_predictors`], so [`Self::estimate`] cannot
+    /// index past its end. Catalog decoders call this on every probe
+    /// entry; `Err` is the message.
+    pub(crate) fn check_selected(selected: &[usize]) -> Result<(), String> {
+        let width = SystemStats::probe_predictor_names().len();
+        match selected.iter().find(|&&j| j >= width) {
+            Some(j) => Err(format!(
+                "probe predictor index {j} out of range ({width} predictors)"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Estimates the probing cost from a statistics snapshot.

@@ -712,6 +712,7 @@ fn decode_probe(bytes: &[u8]) -> Result<ProbeCostEstimator, CoreError> {
     if coefficients.len() != selected.len() + 1 {
         return Err(bin_err("probe coefficient width does not match params"));
     }
+    ProbeCostEstimator::check_selected(&selected).map_err(bin_err)?;
     Ok(ProbeCostEstimator {
         selected,
         names,
@@ -1357,6 +1358,37 @@ mod tests {
         bytes.extend_from_slice(&patch(&frame));
         let err = snapshot_from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains(&message), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_probe_indexes_are_rejected_by_the_binary_decoder() {
+        // An index past `SystemStats::probe_predictors` would panic the
+        // first `ProbeCostEstimator::estimate` on the decoded catalog.
+        let snap = sample_snapshot(1);
+        let bytes = snapshot_to_bytes(&snap);
+        // `2:io` in the binary encoding: the u16 index, then the name.
+        let mut param = Vec::new();
+        put_u16(&mut param, 2);
+        put_str(&mut param, "io");
+        let at = bytes
+            .windows(param.len())
+            .position(|w| w == param)
+            .expect("the param is encoded");
+        let with_index = |j: u16| {
+            let mut bytes = bytes.clone();
+            bytes[at..at + 2].copy_from_slice(&j.to_le_bytes());
+            bytes
+        };
+        let width = mdbs_sim::SystemStats::probe_predictor_names().len() as u16;
+        assert!(snapshot_from_bytes(&with_index(width - 1)).is_ok());
+        for j in [width, 9] {
+            let err = snapshot_from_bytes(&with_index(j)).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("probe predictor index {j} out of range")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -133,7 +133,7 @@ mod tests {
     fn table(card: u64, indexes: &[(usize, IndexKind)]) -> TableDef {
         let mut columns: Vec<ColumnDef> = (0..9)
             .map(|i| ColumnDef {
-                name: format!("a{}", i + 1),
+                name: format!("a{}", i + 1).into(),
                 width: 4,
                 domain_max: 9_999,
                 index: IndexKind::None,

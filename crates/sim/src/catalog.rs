@@ -8,6 +8,8 @@
 //! which columns are indexed and how) lives here; everything else is
 //! internal to the local DBS simulation.
 
+use std::borrow::Cow;
+
 /// Identifies a table within one local database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u32);
@@ -32,8 +34,9 @@ pub enum IndexKind {
 /// One column of a local table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
-    /// Column name (e.g. `a3`).
-    pub name: String,
+    /// Column name (e.g. `a3`). Borrowed from a static table for the
+    /// standard schema, so building it allocates no string per column.
+    pub name: Cow<'static, str>,
     /// Width of the column in bytes.
     pub width: u32,
     /// Values are uniform integers in `[0, domain_max]`.
@@ -142,7 +145,7 @@ mod tests {
             cardinality: 50_000,
             columns: (1..=9)
                 .map(|i| ColumnDef {
-                    name: format!("a{i}"),
+                    name: format!("a{i}").into(),
                     width: 4,
                     domain_max: 10_000,
                     index: if i == 1 {

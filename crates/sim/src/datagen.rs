@@ -9,6 +9,7 @@
 
 use crate::catalog::{ColumnDef, IndexKind, LocalCatalog, TableDef, TableId};
 use mdbs_stats::rng::Rng;
+use std::borrow::Cow;
 
 /// Number of tables in the standard database.
 pub const NUM_TABLES: u32 = 12;
@@ -17,6 +18,10 @@ pub const NUM_TABLES: u32 = 12;
 pub const MIN_CARD: u64 = 3_000;
 /// Largest table cardinality, per the paper.
 pub const MAX_CARD: u64 = 250_000;
+
+/// The column names every standard table carries, in definition order.
+/// Columns borrow them, so a table's schema costs no string allocation.
+const COLUMN_NAMES: [&str; 9] = ["a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9"];
 
 /// Builds the standard 12-table local database.
 ///
@@ -36,7 +41,8 @@ pub fn standard_database(seed: u64) -> LocalCatalog {
         let jitter = rng.gen_range(0.92..1.08);
         let cardinality = ((base * jitter) as u64).clamp(MIN_CARD, MAX_CARD);
         let columns = (1..=9u32)
-            .map(|c| {
+            .zip(COLUMN_NAMES)
+            .map(|(c, name)| {
                 let index = match c {
                     1 if i % 2 == 1 => IndexKind::Clustered,
                     3 => IndexKind::NonClustered,
@@ -44,7 +50,7 @@ pub fn standard_database(seed: u64) -> LocalCatalog {
                     _ => IndexKind::None,
                 };
                 ColumnDef {
-                    name: format!("a{c}"),
+                    name: Cow::Borrowed(name),
                     width: 4,
                     // Domain sizes spread over decades -> varied selectivity.
                     domain_max: 10u64.pow(2 + (c + i) % 4) + rng.gen_range(0u64..50),
@@ -126,5 +132,21 @@ mod tests {
             lengths.insert(t.tuple_len());
         }
         assert!(lengths.len() >= 3, "tuple lengths do not vary: {lengths:?}");
+    }
+
+    #[test]
+    fn column_names_are_borrowed_not_allocated() {
+        for seed in [42, 43] {
+            for t in standard_database(seed).tables() {
+                for (i, c) in t.columns.iter().enumerate() {
+                    assert!(
+                        matches!(c.name, Cow::Borrowed(_)),
+                        "{} column {i} owns its name",
+                        t.id
+                    );
+                    assert_eq!(c.name, format!("a{}", i + 1));
+                }
+            }
+        }
     }
 }

@@ -168,7 +168,7 @@ mod tests {
             cardinality: card,
             columns: (0..9)
                 .map(|i| ColumnDef {
-                    name: format!("a{}", i + 1),
+                    name: format!("a{}", i + 1).into(),
                     width: 4,
                     domain_max: 9_999,
                     index: match i {

@@ -133,7 +133,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &d)| ColumnDef {
-                    name: format!("a{}", i + 1),
+                    name: format!("a{}", i + 1).into(),
                     width: 4,
                     domain_max: d,
                     index: IndexKind::None,

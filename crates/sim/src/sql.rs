@@ -43,9 +43,11 @@ fn err<T>(message: impl Into<String>) -> Result<T, SqlError> {
     })
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+/// One lexical token. Identifiers borrow from the query text, so lexing
+/// allocates nothing but the token vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
     Number(u64),
     Comma,
     Dot,
@@ -57,10 +59,10 @@ enum Token {
     Eq,
 }
 
-fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
+fn tokenize(input: &str) -> Result<Vec<Token<'_>>, SqlError> {
     let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut chars = input.char_indices().peekable();
+    while let Some(&(start, c)) = chars.peek() {
         match c {
             c if c.is_whitespace() => {
                 chars.next();
@@ -83,8 +85,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             }
             '<' => {
                 chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
+                if chars.next_if(|&(_, d)| d == '=').is_some() {
                     tokens.push(Token::Le);
                 } else {
                     tokens.push(Token::Lt);
@@ -92,8 +93,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             }
             '>' => {
                 chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
+                if chars.next_if(|&(_, d)| d == '=').is_some() {
                     tokens.push(Token::Ge);
                 } else {
                     tokens.push(Token::Gt);
@@ -101,7 +101,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             }
             c if c.is_ascii_digit() => {
                 let mut n: u64 = 0;
-                while let Some(&d) = chars.peek() {
+                while let Some(&(_, d)) = chars.peek() {
                     if let Some(v) = d.to_digit(10) {
                         n = n
                             .checked_mul(10)
@@ -119,16 +119,13 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 tokens.push(Token::Number(n));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                let mut end = start;
+                while let Some((i, _)) =
+                    chars.next_if(|&(_, d)| d.is_ascii_alphanumeric() || d == '_')
+                {
+                    end = i + 1; // Identifier characters are one byte each.
                 }
-                tokens.push(Token::Ident(s));
+                tokens.push(Token::Ident(&input[start..end]));
             }
             other => return err(format!("unexpected character `{other}`")),
         }
@@ -136,19 +133,21 @@ fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
     Ok(tokens)
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
+/// `'s` is the query text the tokens borrow from; `'c` the catalog names
+/// resolve against.
+struct Parser<'s, 'c> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
-    catalog: &'a LocalCatalog,
+    catalog: &'c LocalCatalog,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'s, 'c> Parser<'s, 'c> {
+    fn peek(&self) -> Option<Token<'s>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'s>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -166,7 +165,7 @@ impl<'a> Parser<'a> {
         matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
     }
 
-    fn ident(&mut self) -> Result<String, SqlError> {
+    fn ident(&mut self) -> Result<&'s str, SqlError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => err(format!("expected an identifier, found {other:?}")),
@@ -183,7 +182,7 @@ impl<'a> Parser<'a> {
     /// Resolves a table name: `R<n>` in either case, where `<n>` is the
     /// table number written exactly as [`TableId`] displays it (`r4`
     /// names R4, `R04` names nothing). Allocates only on failure.
-    fn resolve_table(&self, name: &str) -> Result<&'a TableDef, SqlError> {
+    fn resolve_table(&self, name: &str) -> Result<&'c TableDef, SqlError> {
         let number = name
             .strip_prefix(['R', 'r'])
             .filter(|digits| {
@@ -219,21 +218,22 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// A parsed column reference: optional table qualifier plus column index.
-#[derive(Debug, Clone, PartialEq)]
-struct ColumnRef {
+/// A parsed column reference: optional table qualifier plus the column
+/// name as written in the query text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ColumnRef<'s> {
     table: Option<TableId>,
-    name: String,
+    name: &'s str,
 }
 
-impl Parser<'_> {
+impl<'s> Parser<'s, '_> {
     /// `[table '.'] column`
-    fn column_ref(&mut self) -> Result<ColumnRef, SqlError> {
+    fn column_ref(&mut self) -> Result<ColumnRef<'s>, SqlError> {
         let first = self.ident()?;
         if matches!(self.peek(), Some(Token::Dot)) {
             self.next();
             let col = self.ident()?;
-            let table = self.resolve_table(&first)?.id;
+            let table = self.resolve_table(first)?.id;
             Ok(ColumnRef {
                 table: Some(table),
                 name: col,
@@ -248,7 +248,7 @@ impl Parser<'_> {
 
     /// One predicate; returns the column ref so the caller can route it to
     /// the proper operand.
-    fn predicate(&mut self) -> Result<(ColumnRef, PredShape), SqlError> {
+    fn predicate(&mut self) -> Result<(ColumnRef<'s>, PredShape), SqlError> {
         let col = self.column_ref()?;
         if self.at_keyword("between") {
             self.next();
@@ -325,12 +325,12 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
     }
     p.expect_keyword("from")?;
     let left_name = p.ident()?;
-    let left = p.resolve_table(&left_name)?;
+    let left = p.resolve_table(left_name)?;
     // Optional JOIN clause.
     let join = if p.at_keyword("join") {
         p.next();
         let right_name = p.ident()?;
-        let right = p.resolve_table(&right_name)?;
+        let right = p.resolve_table(right_name)?;
         p.expect_keyword("on")?;
         let a = p.column_ref()?;
         match p.next() {
@@ -382,7 +382,7 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                                 ));
                             }
                         }
-                        Parser::resolve_column(left, &r.name)
+                        Parser::resolve_column(left, r.name)
                     })
                     .collect::<Result<Vec<_>, _>>()?
             };
@@ -397,7 +397,7 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                             ));
                         }
                     }
-                    Ok(shape.into_predicate(Parser::resolve_column(left, &r.name)?))
+                    Ok(shape.into_predicate(Parser::resolve_column(left, r.name)?))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             let order_by = order_ref
@@ -410,7 +410,7 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                             ));
                         }
                     }
-                    Parser::resolve_column(left, &r.name)
+                    Parser::resolve_column(left, r.name)
                 })
                 .transpose()?;
             Ok(Query::Unary(UnaryQuery {
@@ -433,9 +433,9 @@ pub fn parse_query(catalog: &LocalCatalog, input: &str) -> Result<Query, SqlErro
                     ));
                 };
                 if t == left.id {
-                    Ok((true, Parser::resolve_column(left, &r.name)?))
+                    Ok((true, Parser::resolve_column(left, r.name)?))
                 } else if t == right.id {
-                    Ok((false, Parser::resolve_column(right, &r.name)?))
+                    Ok((false, Parser::resolve_column(right, r.name)?))
                 } else {
                     err(format!("{t} is not part of this join"))
                 }
@@ -493,7 +493,7 @@ pub fn to_sql(catalog: &LocalCatalog, query: &Query) -> String {
         catalog
             .table(table)
             .and_then(|t| t.columns.get(col))
-            .map_or_else(|| "?".to_string(), |c| c.name.clone())
+            .map_or_else(|| "?".to_string(), |c| c.name.to_string())
     };
     let render_pred = |table: TableId, qualify: bool, p: &Predicate| -> String {
         let mut name = col_name(table, p.column);
@@ -651,11 +651,13 @@ mod tests {
     #[test]
     fn numeric_separators_allowed() {
         let db = db();
-        let Query::Unary(u) = parse_query(&db, "select a1 from R7 where a3 < 50_000").unwrap()
-        else {
-            panic!("expected unary");
-        };
-        assert_eq!(u.predicates[0], Predicate::lt(2, 50_000));
+        for (literal, value) in [("50_000", 50_000), ("5_0_0", 500), ("7__", 7)] {
+            let sql = format!("select a1 from R7 where a3 < {literal}");
+            let Query::Unary(u) = parse_query(&db, &sql).unwrap() else {
+                panic!("expected unary");
+            };
+            assert_eq!(u.predicates, vec![Predicate::lt(2, value)], "{sql}");
+        }
     }
 
     #[test]
@@ -785,6 +787,56 @@ mod tests {
                 "select a1 from r4 where A99 < 3",
                 "table R4 has no column `A99`".to_string(),
             ),
+            // Underscores belong to identifiers: `a_1` is one (unknown) name.
+            (
+                "select a_1 from R4",
+                "table R4 has no column `a_1`".to_string(),
+            ),
+            (
+                "select R4.a_1 from R4",
+                "table R4 has no column `a_1`".to_string(),
+            ),
+            (
+                "select _a1 from R4",
+                "table R4 has no column `_a1`".to_string(),
+            ),
+            (
+                "select a1 from R_4",
+                format!("unknown table `R_4` (have: {have})"),
+            ),
+            // Messages that embed a token's `Debug` form.
+            (
+                "select a1 frm R2",
+                r#"expected `from`, found Some(Ident("frm"))"#.to_string(),
+            ),
+            (
+                "select a1 from R2 x",
+                r#"trailing input from token Some(Ident("x"))"#.to_string(),
+            ),
+            (
+                "select a1 from R2 where a2 < ,",
+                "expected a number, found Some(Comma)".to_string(),
+            ),
+            (
+                "select a1 from R2 where a2 <",
+                "expected a number, found None".to_string(),
+            ),
+            (
+                "select a1 from R2 where a2 = 5",
+                "expected a comparison operator, found Some(Eq)".to_string(),
+            ),
+            (
+                "select * from R2 join R3 on R2.a5 < R3.a5",
+                "expected `=` in join condition, found Some(Lt)".to_string(),
+            ),
+            (
+                "select a1 from 7",
+                "expected an identifier, found Some(Number(7))".to_string(),
+            ),
+            (
+                "select a1 from R2 where a2 between 1 or 2",
+                r#"expected `and`, found Some(Ident("or"))"#.to_string(),
+            ),
         ] {
             assert_eq!(parse_query(&db, sql).unwrap_err().message, message, "{sql}");
         }
@@ -794,6 +846,43 @@ mod tests {
             parse_query(&db, "select a1 from R4").unwrap()
         );
         assert!(parse_query(&db, "select a1 from R4").is_ok());
+    }
+
+    #[test]
+    fn lexer_edge_cases_are_pinned() {
+        let db = db();
+        // A non-ASCII character ends an identifier and is then rejected.
+        for sql in ["select a1é from R2", "select a1 from R2é", "select é"] {
+            assert_eq!(
+                parse_query(&db, sql).unwrap_err().message,
+                "unexpected character `é`",
+                "{sql}"
+            );
+        }
+        // A digit run ends at the first non-digit: `5a2` lexes as `5` `a2`.
+        assert_eq!(
+            parse_query(&db, "select a1 from R7 where a3 < 5a2")
+                .unwrap_err()
+                .message,
+            r#"trailing input from token Some(Ident("a2"))"#
+        );
+        // Multi-byte whitespace separates tokens without shifting the
+        // identifiers that follow it.
+        assert_eq!(
+            parse_query(&db, "select\u{a0}a1\u{2003}from R7 where a3<=9").unwrap(),
+            parse_query(&db, "select a1 from R7 where a3 <= 9").unwrap()
+        );
+        // Operators glued to their operands, and `>=` vs `> =`.
+        assert_eq!(
+            parse_query(&db, "select a1 from R7 where a3>=9").unwrap(),
+            parse_query(&db, "select a1 from R7 where a3 >= 9").unwrap()
+        );
+        assert_eq!(
+            parse_query(&db, "select a1 from R7 where a3 > = 9")
+                .unwrap_err()
+                .message,
+            "expected a number, found Some(Eq)"
+        );
     }
 
     #[test]

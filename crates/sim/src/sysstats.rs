@@ -65,8 +65,8 @@ impl SystemStats {
 
     /// The explanatory vector used by probing-cost estimation (eq. (2)):
     /// CPU load, I/O utilization, used memory and swap traffic.
-    pub fn probe_predictors(&self) -> Vec<f64> {
-        vec![
+    pub fn probe_predictors(&self) -> [f64; 4] {
+        [
             self.load_avg_1m,
             self.disk_util_pct,
             self.mem_used_mb,

@@ -21,7 +21,7 @@ fn table(card: u64, domain: u64) -> TableDef {
         cardinality: card,
         columns: (0..9)
             .map(|i| ColumnDef {
-                name: format!("a{}", i + 1),
+                name: format!("a{}", i + 1).into(),
                 width: 4,
                 domain_max: domain,
                 index: IndexKind::None,
